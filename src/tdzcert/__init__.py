@@ -72,6 +72,8 @@ from .hardy import (
     compose_series,
     composition_matrix,
     constant_symbol_certificates,
+    decide_composition_hardy,
+    left_zero_divisor_hardy,
     monomial_right_annihilator,
     right_zero_divisor_finite,
 )

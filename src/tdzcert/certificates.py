@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -83,8 +84,11 @@ class Tolerances:
     n_witness: int = 50
 
     def __post_init__(self):
-        if not (self.eps_zero > 0 and self.eps_norm > 0 and self.eps_circle > 0):
-            raise InputError("tolerances must be strictly positive")
+        eps = (self.eps_zero, self.eps_norm, self.eps_circle)
+        if not all(0 < e < math.inf for e in eps):
+            raise InputError("tolerances must be strictly positive and finite")
+        if not isinstance(self.n_witness, numbers.Integral):
+            raise InputError("n_witness must be an integer")
         if self.n_witness < 3:
             raise InputError("n_witness must be at least 3")
 

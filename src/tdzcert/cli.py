@@ -4,9 +4,12 @@ One request per invocation.  The request is a single JSON document (see
 ``schema``) with a ``mode`` of ``analyze`` (emit the verdict), ``certify``
 (run the independent verification harness against the emitted
 certificates), or ``section`` (emit finite matrix sections and their
-checks).  Exit codes: 0 success, 2 invalid input or unsupported
-combination, 3 when a certify run fails verification (the verdict and
-report are still printed).
+checks).  Verdicts come from the library's decision procedures and every
+certificate is checked through ``verify_certificate``; this module picks
+the norm oracle and shapes the JSON.  Exit codes: 0 success, 2 invalid
+input or unsupported combination, 3 when a certify run fails verification
+(the verdict and report are still printed) or the harness itself fails on
+a non-finite norm or a broken certificate (an error line only).
 """
 
 from __future__ import annotations
@@ -19,15 +22,7 @@ import warnings
 
 import numpy as np
 
-from .certificates import (
-    Annihilator,
-    RegularityBound,
-    Tolerances,
-    WitnessSequence,
-    verify_annihilator,
-    verify_regularity,
-    verify_tdz_certificate,
-)
+from .certificates import TriState, verify_certificate
 from .composition import (
     adjoint_rn_check,
     composition_norm,
@@ -37,11 +32,11 @@ from .composition import (
     rn_derivative,
 )
 from .disk import decide_tdz_disk, min_modulus_on_circle, sup_norm_on_circle
-from .errors import InputError
+from .errors import CertificateMalformedError, InputError, NumericError
 from .hardy import (
     composition_matrix,
-    constant_symbol_certificates,
-    monomial_right_annihilator,
+    decide_composition_hardy,
+    left_zero_divisor_hardy,
     right_zero_divisor_finite,
 )
 from .matrices import operator_norm
@@ -71,9 +66,38 @@ from .schema import (
 
 __all__ = ["main", "run_request"]
 
+_NO_SECTION = {
+    "disk": "section mode is not defined for the disk algebra",
+    "linf": "section mode applies to operators; wrap the element as 'mult'",
+}
+
+
+def _verify(x, verdict, oracle, tol, min_modulus, certs=None):
+    """Check ``certs`` (default: all of the verdict's) against ``x``.
+
+    A regular verdict's certificate is a RegularityBound, checked against
+    an independent min-modulus estimate; ``min_modulus()`` runs only then.
+    """
+    estimate = min_modulus() if verdict.is_regular else None
+    return [
+        verify_certificate(x, c, oracle, tol, min_modulus_estimate=estimate)
+        for c in (verdict.all_certificates if certs is None else certs)
+    ]
+
+
+def _attach_reports(out: dict, reports) -> None:
+    """First report under 'report' (None if none), the rest under 'extra_reports'."""
+    out["report"] = serialize_report(reports[0]) if reports else None
+    if len(reports) > 1:
+        out["extra_reports"] = [serialize_report(r) for r in reports[1:]]
+
 
 def _exit_code_from(reports) -> int:
-    return 3 if any(r is not None and not r.passes for r in reports) else 0
+    return 3 if any(not r.passes for r in reports) else 0
+
+
+def _smallest_singular_value(m) -> float:
+    return float(np.linalg.svd(m.entries, compute_uv=False)[-1])
 
 
 def _run_disk(req: AnalysisRequest):
@@ -82,103 +106,58 @@ def _run_disk(req: AnalysisRequest):
     out = {"mode": req.mode, "verdict": serialize_verdict(verdict, commutative=True)}
     if req.mode == "analyze":
         return out, 0
-    if req.mode == "section":
-        raise InputError("section mode is not defined for the disk algebra")
-    cert = verdict.certificate
-    report = None
-    if isinstance(cert, WitnessSequence):
-        report = verify_tdz_certificate(
-            lambda q: sup_norm_on_circle(q, tol), p, cert, tol
-        )
-    elif isinstance(cert, RegularityBound):
-        report = verify_regularity(min_modulus_on_circle(p, tol), cert, tol)
-    out["report"] = serialize_report(report)
-    return out, _exit_code_from([report])
+    oracle = lambda q: sup_norm_on_circle(q, tol)
+    reports = _verify(p, verdict, oracle, tol, lambda: min_modulus_on_circle(p, tol))
+    _attach_reports(out, reports)
+    return out, _exit_code_from(reports)
+
+
+def _run_pointwise(req: AnalysisRequest, h, x, oracle, decide_tdz, decide_zd):
+    """linf and mult: verdicts on the symbol ``h``, products taken with
+    ``x`` (the function itself, or its multiplication operator)."""
+    tol = req.tol
+    tdz, zd = decide_tdz(req.payload, tol), decide_zd(req.payload, tol)
+    out = {"mode": req.mode, "verdict": serialize_verdict(tdz, commutative=True)}
+    out["verdict"]["zero_class"] = spectrum_mult(h, tol).zero_class.value
+    if zd.certificate is not None:
+        out["verdict"]["annihilator"] = serialize_certificate(zd.certificate)
+    if req.mode != "certify":
+        return out, 0
+    reports = _verify(x, tdz, oracle, tol, lambda: essential_stats(h, tol).min_modulus)
+    _attach_reports(out, reports)
+    if zd.certificate is not None:
+        reports.append(verify_certificate(x, zd.certificate, oracle, tol))
+        out["annihilator_report"] = serialize_report(reports[-1])
+    return out, _exit_code_from(reports)
 
 
 def _run_linf(req: AnalysisRequest):
     f, tol = req.payload, req.tol
-    zd = decide_zero_divisor_linf(f, tol)
-    tdz = decide_tdz_linf(f, tol)
-    spectrum = spectrum_mult(f, tol)
-    out = {"mode": req.mode, "verdict": serialize_verdict(tdz, commutative=True)}
-    out["verdict"]["zero_class"] = spectrum.zero_class.value
-    if zd.certificate is not None:
-        out["verdict"]["annihilator"] = serialize_certificate(zd.certificate)
-    if req.mode == "analyze":
-        return out, 0
-    if req.mode == "section":
-        raise InputError(
-            "section mode applies to operators; wrap the element as 'mult'"
-        )
-    reports = []
     oracle = lambda g: linf_norm(g, tol)
-    if isinstance(tdz.certificate, WitnessSequence):
-        reports.append(verify_tdz_certificate(oracle, f, tdz.certificate, tol))
-    elif isinstance(tdz.certificate, RegularityBound):
-        reports.append(
-            verify_regularity(
-                essential_stats(f, tol).min_modulus, tdz.certificate, tol
-            )
-        )
-    out["report"] = serialize_report(reports[0] if reports else None)
-    if isinstance(zd.certificate, Annihilator):
-        ann_report = verify_annihilator(oracle, f, zd.certificate, tol)
-        reports.append(ann_report)
-        out["annihilator_report"] = serialize_report(ann_report)
-    return out, _exit_code_from(reports)
+    return _run_pointwise(req, f, f, oracle, decide_tdz_linf, decide_zero_divisor_linf)
 
 
 def _run_mult(req: AnalysisRequest):
     spec, tol = req.payload, req.tol
-    tdz = decide_tdz_mult(spec, tol)
-    zd = decide_zero_divisor_mult(spec, tol)
-    spectrum = spectrum_mult(spec.h, tol)
-    out = {"mode": req.mode, "verdict": serialize_verdict(tdz, commutative=True)}
-    out["verdict"]["zero_class"] = spectrum.zero_class.value
-    if zd.certificate is not None:
-        out["verdict"]["annihilator"] = serialize_certificate(zd.certificate)
-    if req.mode == "analyze":
-        return out, 0
+    oracle = lambda t: mult_operator_norm(t, tol)
+    out, code = _run_pointwise(
+        req, spec.h, MultOperator(spec.h), oracle, decide_tdz_mult, decide_zero_divisor_mult
+    )
     if req.mode == "section":
         section = finite_section_mult(spec, req.section_size, tol)
         out["section"] = serialize_matrix(section)
-        out["section_norm"] = operator_norm(section, tol)
+        out["section_norm"] = operator_norm(section)
         out["ess_sup"] = linf_norm(spec.h, tol)
-        return out, 0
-    reports = []
-    x = MultOperator(spec.h)
-    oracle = lambda t: mult_operator_norm(t, tol)
-    if isinstance(tdz.certificate, WitnessSequence):
-        reports.append(verify_tdz_certificate(oracle, x, tdz.certificate, tol))
-    elif isinstance(tdz.certificate, RegularityBound):
-        reports.append(
-            verify_regularity(
-                essential_stats(spec.h, tol).min_modulus, tdz.certificate, tol
-            )
-        )
-    out["report"] = serialize_report(reports[0] if reports else None)
-    if isinstance(zd.certificate, Annihilator):
-        ann_report = verify_annihilator(oracle, x, zd.certificate, tol)
-        reports.append(ann_report)
-        out["annihilator_report"] = serialize_report(ann_report)
-    return out, _exit_code_from(reports)
+    return out, code
 
 
 def _run_compose_lp(req: AnalysisRequest):
     spec, tol = req.payload, req.tol
     verdict = divisor_status(spec, tol)
-    props = map_properties(spec.phi)
     out = {
         "mode": req.mode,
         "verdict": serialize_verdict(verdict, commutative=False),
-        "map": {
-            "injective": props.injective,
-            "surjective": props.surjective,
-            "invertible": props.invertible,
-            "collision": list(props.collision) if props.collision else None,
-            "missed_value": props.missed_value,
-        },
+        "map": dataclasses.asdict(map_properties(spec.phi)),
         "norm": composition_norm(spec),
         "rn_derivative": serialize_element(rn_derivative(spec.phi)),
     }
@@ -191,57 +170,22 @@ def _run_compose_lp(req: AnalysisRequest):
         )
         out["adjoint_rn"] = dataclasses.asdict(report)
         return out, 0
-    # Certify: annihilator products are exact index bookkeeping, checked
-    # on sections at p = 2 (the certificates themselves are p-independent).
-    at_p2 = dataclasses.replace(spec, p=2.0)
-    reports = []
-    if verdict.is_regular:
-        n = max(8, spec.phi.prefix_len + 2)
-        section = finite_section_composition(at_p2, n)
-        smallest = float(np.linalg.svd(section.entries, compute_uv=False)[-1])
-        report = verify_regularity(smallest, verdict.certificate, tol)
-        reports.append(report)
-        out["report"] = serialize_report(report)
-        return out, _exit_code_from(reports)
-    anns = [c for c in verdict.all_certificates if isinstance(c, Annihilator)]
-    n = max(
-        [8, spec.phi.prefix_len + 2]
-        + [c.element.min_section for c in anns]
-    )
-    section = finite_section_composition(at_p2, n)
-    oracle = lambda m: operator_norm(m, tol)
-    serialized = []
-    for cert in anns:
-        mat_cert = Annihilator(
-            element=cert.element.section(n),
-            side=cert.side,
-            description=cert.description,
-        )
-        report = verify_annihilator(oracle, section, mat_cert, tol)
-        reports.append(report)
-        serialized.append(serialize_report(report))
-    out["report"] = serialized[0] if serialized else None
-    if len(serialized) > 1:
-        out["extra_reports"] = serialized[1:]
+    # Certify on a section at p = 2 (the certificates are p-independent):
+    # annihilator products are exact index bookkeeping there, and the
+    # regularity bound meets the section's smallest singular value.
+    n, certs = max(8, spec.phi.prefix_len + 2), verdict.all_certificates
+    if not verdict.is_regular:
+        n = max([n] + [c.element.min_section for c in certs])
+        certs = [dataclasses.replace(c, element=c.element.section(n)) for c in certs]
+    section = finite_section_composition(dataclasses.replace(spec, p=2.0), n)
+    min_modulus = lambda: _smallest_singular_value(section)
+    reports = _verify(section, verdict, operator_norm, tol, min_modulus, certs)
+    _attach_reports(out, reports)
     return out, _exit_code_from(reports)
-
-
-def _hardy_shape(symbol):
-    """Classify the symbol: constant, identity, pure monomial z^k, or other."""
-    coeffs = symbol.poly.coeffs
-    if symbol.poly.degree == 0:
-        return "constant", None
-    if coeffs == (0j, 1 + 0j):
-        return "identity", None
-    k = symbol.poly.degree
-    if coeffs[k] == 1 and all(c == 0 for c in coeffs[:k]):
-        return "monomial", k
-    return "other", None
 
 
 def _run_compose_hardy(req: AnalysisRequest):
     (symbol, order), tol = req.payload, req.tol
-    shape, k = _hardy_shape(symbol)
     caught: list[str] = []
 
     def build_matrix(n):
@@ -257,24 +201,13 @@ def _run_compose_hardy(req: AnalysisRequest):
             out["warnings"] = caught
         return out, 0
 
-    verdict: dict = {"left_zd": None, "right_zd": None, "tdz": None, "regular": None}
-    certs = []
-    if shape == "constant":
-        z0 = symbol.poly.coeffs[0]
-        pair = constant_symbol_certificates(z0, order, tol)
-        verdict.update(left_zd=True, right_zd=True, tdz=True, regular=False)
-        certs = [pair.left, pair.right]
-    elif shape == "identity":
-        verdict.update(left_zd=False, right_zd=False, tdz=False, regular=True)
-    elif shape == "monomial":
-        verdict.update(left_zd=False, right_zd=True, tdz=True, regular=False)
-        certs = [monomial_right_annihilator(k, order, tol)]
-    else:
-        # Left status is decided (constant symbols only); the right side
-        # is open for general symbols, so only the finite probe is run.
-        verdict["left_zd"] = False
+    verdict = decide_composition_hardy(symbol, order)
+    if verdict is None:
+        # The right side is open, so only the finite probe is run.
         probe = right_zero_divisor_finite(build_matrix(order), tol)
-        verdict["rank_probe"] = {
+        left = left_zero_divisor_hardy(symbol) is TriState.YES
+        view = {"left_zd": left, "right_zd": None, "tdz": None, "regular": None}
+        view["rank_probe"] = {
             "order": order,
             "full_rank": probe is None,
             "annihilator": serialize_certificate(probe),
@@ -283,30 +216,32 @@ def _run_compose_hardy(req: AnalysisRequest):
                 "order does not decide the operator-level question"
             ),
         }
-    verdict["certificates"] = [serialize_certificate(c) for c in certs]
-    out = {"mode": req.mode, "verdict": verdict}
+        listed = ()
+    else:
+        view = {
+            "left_zd": verdict.is_left_zero_divisor is TriState.YES,
+            "right_zd": verdict.is_right_zero_divisor is TriState.YES,
+            "tdz": verdict.is_tdz,
+            "regular": verdict.is_regular,
+        }
+        # Only annihilators are listed; the identity's regularity bound
+        # shows in its certify report.
+        listed = () if verdict.is_regular else verdict.all_certificates
+    view["certificates"] = [serialize_certificate(c) for c in listed]
+    out = {"mode": req.mode, "verdict": view}
     if caught:
         out["warnings"] = caught
     if req.mode == "analyze":
         return out, 0
 
     reports = []
-    if shape in ("constant", "monomial"):
+    if verdict is not None:
         c_matrix = build_matrix(order)
-        oracle = lambda m: operator_norm(m, tol)
-        for cert in certs:
-            reports.append(verify_annihilator(oracle, c_matrix, cert, tol))
-    elif shape == "identity":
-        bound = RegularityBound(lambda0=1.0, description="identity symbol")
-        smallest = float(
-            np.linalg.svd(build_matrix(order).entries, compute_uv=False)[-1]
-        )
-        reports.append(verify_regularity(smallest, bound, tol))
-    out["report"] = serialize_report(reports[0]) if reports else None
-    if len(reports) > 1:
-        out["extra_reports"] = [serialize_report(r) for r in reports[1:]]
+        min_modulus = lambda: _smallest_singular_value(c_matrix)
+        reports = _verify(c_matrix, verdict, operator_norm, tol, min_modulus)
+    _attach_reports(out, reports)
     if caught:
-        out["warnings"] = caught
+        out["warnings"] = caught  # a key set above keeps its place
     return out, _exit_code_from(reports)
 
 
@@ -321,6 +256,8 @@ _RUNNERS = {
 
 def run_request(req: AnalysisRequest):
     """Dispatch a parsed request; returns (response dict, exit code)."""
+    if req.mode == "section" and req.tag in _NO_SECTION:
+        raise InputError(_NO_SECTION[req.tag])
     return _RUNNERS[req.tag](req)
 
 
@@ -352,7 +289,7 @@ def main(argv=None) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
             return 2
 
@@ -366,21 +303,19 @@ def main(argv=None) -> int:
         )
         return 2
 
-    if args.tolerance_eps_norm is not None or args.n_witness is not None:
-        overrides = dict(doc.get("tolerances", {})) if isinstance(doc, dict) else {}
-        if args.tolerance_eps_norm is not None:
-            overrides["eps_norm"] = args.tolerance_eps_norm
-        if args.n_witness is not None:
-            overrides["n_witness"] = args.n_witness
-        if isinstance(doc, dict):
-            doc["tolerances"] = overrides
+    flags = {"eps_norm": args.tolerance_eps_norm, "n_witness": args.n_witness}
+    flags = {k: v for k, v in flags.items() if v is not None}
+    if flags and isinstance(doc, dict) and isinstance(doc.get("tolerances", {}), dict):
+        doc["tolerances"] = {**doc.get("tolerances", {}), **flags}
 
     try:
-        request = parse_request(doc)
-        response, code = run_request(request)
+        response, code = run_request(parse_request(doc))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NumericError, CertificateMalformedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     print(json.dumps(response, indent=2 if args.pretty else None))
     return code

@@ -66,6 +66,15 @@ __all__ = [
 ]
 
 
+def _as_int(x, what: str) -> int:
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{what} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Shift:
     """Tail rule phi(n) = n + c for n beyond the prefix."""
@@ -73,7 +82,7 @@ class Shift:
     c: int
 
     def __init__(self, c):
-        object.__setattr__(self, "c", int(c))
+        object.__setattr__(self, "c", _as_int(c, "shift"))
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ class Divide:
     k: int
 
     def __init__(self, k):
-        k = int(k)
+        k = _as_int(k, "divide")
         if k < 1:
             raise InputError("divide tail requires k >= 1")
         object.__setattr__(self, "k", k)
@@ -464,7 +473,7 @@ def adjoint_rn_check(
     diff = gram.entries[:block, :block] - d.entries[:block, :block]
     max_diff = float(np.max(np.abs(diff))) if block > 0 else 0.0
 
-    section_norm = operator_norm(c, tol)
+    section_norm = operator_norm(c)
     formula_norm = composition_norm(spec)
     operator_tdz = divisor_status(spec, tol).is_tdz
     rn_tdz = decide_tdz_linf(rn, tol).is_tdz

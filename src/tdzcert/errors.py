@@ -30,11 +30,4 @@ class CertificateMalformedError(Exception):
 
 
 class NumericError(Exception):
-    """A numerical routine diverged or failed to converge.
-
-    Carries the last iterate (when available) so callers can inspect it.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """A numerical routine produced a non-finite or unusable value."""

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import DEFAULT_TOL, Annihilator, Side, Tolerances
+from .certificates import (
+    DEFAULT_TOL,
+    Annihilator,
+    RegularityBound,
+    Side,
+    Tolerances,
+    TriState,
+    Verdict,
+)
 from .disk import CirclePolynomial, sup_norm_on_circle
 from .errors import DegenerateInputError, InputError, InvalidSymbolError
 from .matrices import OperatorMatrix
@@ -35,6 +43,8 @@ __all__ = [
     "compose_series",
     "composition_matrix",
     "constant_symbol_certificates",
+    "decide_composition_hardy",
+    "left_zero_divisor_hardy",
     "monomial_right_annihilator",
     "right_zero_divisor_finite",
 ]
@@ -96,9 +106,7 @@ def _truncated_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.convolve(a, b)[:n]
 
 
-def compose_series(
-    f: TruncatedSeries, phi: PolySymbol, n: int, tol: Tolerances = DEFAULT_TOL
-) -> TruncatedSeries:
+def compose_series(f: TruncatedSeries, phi: PolySymbol, n: int) -> TruncatedSeries:
     """First ``n`` Taylor coefficients of f composed with phi.
 
     Horner evaluation over truncated polynomial arithmetic; exact
@@ -171,9 +179,7 @@ class ConstantSymbolCertificates:
     right: Annihilator
 
 
-def constant_symbol_certificates(
-    z0: complex, n: int, tol: Tolerances = DEFAULT_TOL
-) -> ConstantSymbolCertificates:
+def constant_symbol_certificates(z0: complex, n: int) -> ConstantSymbolCertificates:
     """Exact annihilators of C_phi when phi is the constant z0, |z0| < 1.
 
     Left: T_L has column j = coefficients of z^(j+1) - z0^(j+1), an
@@ -214,9 +220,7 @@ def constant_symbol_certificates(
     )
 
 
-def monomial_right_annihilator(
-    k: int, n: int, tol: Tolerances = DEFAULT_TOL
-) -> Annihilator:
+def monomial_right_annihilator(k: int, n: int) -> Annihilator:
     """Selector of coefficient indices congruent to 1 mod k; kills C_{z^k}.
 
     C_{z^k} supports output coefficients only at multiples of k, and
@@ -267,4 +271,41 @@ def right_zero_divisor_finite(
         description=(
             "rank-one range annihilator from the smallest singular direction"
         ),
+    )
+
+
+def left_zero_divisor_hardy(phi: PolySymbol) -> TriState:
+    """Whether C_phi is a left zero divisor: exactly when phi is constant.
+
+    A non-constant symbol has an open image, so C_phi f = 0 forces f = 0.
+    """
+    return TriState.YES if phi.poly.degree == 0 else TriState.NO
+
+
+def decide_composition_hardy(phi: PolySymbol, order: int) -> Verdict | None:
+    """Divisor status of C_phi at truncation ``order``, decided by the symbol.
+
+    A constant symbol gives a zero divisor on both sides (left and right
+    annihilators as certificates); the identity is regular (an isometry,
+    lambda0 = 1); a monomial z^k with k >= 2 is a right zero divisor only.
+    Any other symbol returns None: its left side is still
+    ``left_zero_divisor_hardy`` but its right side is open, and only the
+    finite rank probe ``right_zero_divisor_finite`` speaks to it.
+    """
+    k = phi.poly.degree
+    if k == 0:
+        pair = constant_symbol_certificates(phi.poly.coeffs[0], order)
+        certs = (pair.left, pair.right)
+    elif phi.poly.coeffs != (0,) * k + (1,):
+        return None
+    elif k == 1:
+        return Verdict(
+            TriState.NO, TriState.NO, is_tdz=False, is_regular=True,
+            certificate=RegularityBound(lambda0=1.0, description="identity symbol"),
+        )
+    else:
+        certs = (monomial_right_annihilator(k, order),)
+    return Verdict(
+        left_zero_divisor_hardy(phi), TriState.YES, is_tdz=True, is_regular=False,
+        certificate=certs[0], extra_certificates=certs[1:],
     )

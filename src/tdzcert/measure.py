@@ -63,8 +63,8 @@ class FiniteAtoms:
         w = tuple(float(x) for x in weights)
         if not w:
             raise InputError("a finite atomic space needs at least one atom")
-        if any(x <= 0 for x in w):
-            raise InputError("atom weights must be positive")
+        if not all(0 < x < math.inf for x in w):
+            raise InputError("atom weights must be positive and finite")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -135,6 +135,22 @@ class DecayingTail:
 Representation = Union[FiniteVector, EventuallyPeriodic, DecayingTail]
 
 
+def _stored_values(v: Representation) -> tuple[complex, ...]:
+    """Every value a representation stores; a decaying tail stores its prefix."""
+    if isinstance(v, FiniteVector):
+        return v.values
+    if isinstance(v, EventuallyPeriodic):
+        return v.prefix + v.cycle
+    return v.prefix
+
+
+def _map_values(v: Union[FiniteVector, EventuallyPeriodic], fn):
+    """The same representation with ``fn`` applied to every stored value."""
+    if isinstance(v, FiniteVector):
+        return FiniteVector([fn(x) for x in v.values])
+    return EventuallyPeriodic([fn(x) for x in v.prefix], [fn(x) for x in v.cycle])
+
+
 @dataclass(frozen=True)
 class MeasurableFn:
     """An L-infinity element: an atomic space plus an exact representation."""
@@ -178,12 +194,9 @@ class MeasurableFn:
 
     @property
     def is_identically_zero(self) -> bool:
+        # Decaying tails have c != 0, so they never vanish identically.
         v = self.values
-        if isinstance(v, FiniteVector):
-            return all(x == 0 for x in v.values)
-        if isinstance(v, EventuallyPeriodic):
-            return all(x == 0 for x in v.prefix) and all(x == 0 for x in v.cycle)
-        return False  # decaying tails have c != 0
+        return not isinstance(v, DecayingTail) and all(x == 0 for x in _stored_values(v))
 
     def __mul__(self, other: "MeasurableFn") -> "MeasurableFn":
         if not isinstance(other, MeasurableFn):
@@ -219,23 +232,13 @@ class EssentialStats:
     min_attained: bool
 
 
-def _represented_moduli(f: MeasurableFn) -> list[float]:
-    """Moduli of all values attained on positive-measure sets (finite list).
-
-    For a decaying tail this covers the prefix only; the tail contributes
-    the supremum |c|/(N+1) and the infimum limit 0 separately.
-    """
-    v = f.values
-    if isinstance(v, FiniteVector):
-        return [abs(x) for x in v.values]
-    if isinstance(v, EventuallyPeriodic):
-        return [abs(x) for x in v.prefix] + [abs(x) for x in v.cycle]
-    return [abs(x) for x in v.prefix]
-
-
 def essential_stats(f: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> EssentialStats:
-    """Essential supremum, zero attainment, and minimum modulus of ``f``."""
-    moduli = _represented_moduli(f)
+    """Essential supremum, zero attainment, and minimum modulus of ``f``.
+
+    The stored values are attained on positive-measure sets; a decaying
+    tail adds the supremum |c|/(N+1) and the infimum limit 0 on its own.
+    """
+    moduli = [abs(x) for x in _stored_values(f.values)]
     v = f.values
     if isinstance(v, DecayingTail):
         tail_sup = abs(v.c) / (len(v.prefix) + 1)
@@ -267,17 +270,12 @@ def linf_norm(f: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> float:
 def _zero_set_indicator(f: MeasurableFn, tol: Tolerances) -> MeasurableFn:
     """Indicator of {x : f(x) = 0}; exactly annihilates ``f``."""
     v = f.values
-    z = tol.eps_zero
-    if isinstance(v, FiniteVector):
-        vec = [1.0 if abs(x) <= z else 0.0 for x in v.values]
-        return MeasurableFn(f.space, FiniteVector(vec))
-    if isinstance(v, EventuallyPeriodic):
-        pre = [1.0 if abs(x) <= z else 0.0 for x in v.prefix]
-        cyc = [1.0 if abs(x) <= z else 0.0 for x in v.cycle]
-        return MeasurableFn(f.space, EventuallyPeriodic(pre, cyc))
-    # Decaying tails vanish only on prefix atoms.
-    pre = [1.0 if abs(x) <= z else 0.0 for x in v.prefix]
-    return MeasurableFn(f.space, EventuallyPeriodic(pre, (0.0,)))
+    on_zero = lambda x: 1.0 if abs(x) <= tol.eps_zero else 0.0
+    if isinstance(v, DecayingTail):
+        # Decaying tails vanish only on prefix atoms.
+        v = EventuallyPeriodic([on_zero(x) for x in v.prefix], (0.0,))
+        return MeasurableFn(f.space, v)
+    return MeasurableFn(f.space, _map_values(v, on_zero))
 
 
 def _sublevel_indicator(f: MeasurableFn, n: int, tol: Tolerances) -> MeasurableFn:
@@ -285,19 +283,15 @@ def _sublevel_indicator(f: MeasurableFn, n: int, tol: Tolerances) -> MeasurableF
     if n < 1:
         raise InputError("witness index must be >= 1")
     level = 1.0 / n
+    below = lambda x: 1.0 if abs(x) < level else 0.0
     v = f.values
-    if isinstance(v, FiniteVector):
-        vec = [1.0 if abs(x) < level else 0.0 for x in v.values]
-        fn = MeasurableFn(f.space, FiniteVector(vec))
-    elif isinstance(v, EventuallyPeriodic):
-        pre = [1.0 if abs(x) < level else 0.0 for x in v.prefix]
-        cyc = [1.0 if abs(x) < level else 0.0 for x in v.cycle]
-        fn = MeasurableFn(f.space, EventuallyPeriodic(pre, cyc))
-    else:
+    if isinstance(v, DecayingTail):
         # Tail: |c|/m < 1/n iff m > |c| n; cutoff at floor(|c| n) is exact.
         cut = max(len(v.prefix), math.floor(abs(v.c) * n))
-        pre = [1.0 if abs(f.value_at(m)) < level else 0.0 for m in range(1, cut + 1)]
+        pre = [below(f.value_at(m)) for m in range(1, cut + 1)]
         fn = MeasurableFn(f.space, EventuallyPeriodic(pre, (1.0,)))
+    else:
+        fn = MeasurableFn(f.space, _map_values(v, below))
     if fn.is_identically_zero:
         raise DegenerateInputError(f"E_{n} is empty; the element is not a TDZ")
     return fn
@@ -367,16 +361,8 @@ def decide_tdz_linf(f: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> Verdict:
             is_regular=False,
             certificate=cert,
         )
-    v = f.values
-    if isinstance(v, FiniteVector):
-        inverse = MeasurableFn(f.space, FiniteVector([1 / x for x in v.values]))
-    else:
-        inverse = MeasurableFn(
-            f.space,
-            EventuallyPeriodic(
-                [1 / x for x in v.prefix], [1 / x for x in v.cycle]
-            ),
-        )
+    # A decaying tail always has 0 in its essential range, so it is not here.
+    inverse = MeasurableFn(f.space, _map_values(f.values, lambda x: 1 / x))
     return Verdict(
         is_left_zero_divisor=TriState.NO,
         is_right_zero_divisor=TriState.NO,
@@ -426,14 +412,9 @@ def spectrum_mult(h: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> SpectrumRep
     """Spectrum = essential range; point spectrum = attained values."""
     stats = essential_stats(h, tol)
     v = h.values
-    if isinstance(v, FiniteVector):
-        attained = _distinct(v.values)
-        tail = ""
-    elif isinstance(v, EventuallyPeriodic):
-        attained = _distinct(list(v.prefix) + list(v.cycle))
-        tail = ""
-    else:
-        attained = _distinct(v.prefix)
+    attained = _distinct(_stored_values(v))
+    tail = ""
+    if isinstance(v, DecayingTail):
         tail = (
             f"plus the attained tail values {_fmt_c(v.c)}/n "
             f"for n > {len(v.prefix)}"

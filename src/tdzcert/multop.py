@@ -85,7 +85,7 @@ def mult_operator_norm(op: MultOperator, tol: Tolerances = DEFAULT_TOL) -> float
     return linf_norm(op.symbol, tol)
 
 
-def _lift_certificate(cert, tol: Tolerances):
+def _lift_certificate(cert):
     """Dress a symbol-level certificate in its operator form."""
     if isinstance(cert, WitnessSequence):
         return WitnessSequence(
@@ -111,18 +111,16 @@ def _lift_certificate(cert, tol: Tolerances):
     return cert
 
 
-def _lift_verdict(v: Verdict, tol: Tolerances) -> Verdict:
+def _lift_verdict(v: Verdict) -> Verdict:
     return Verdict(
         is_left_zero_divisor=v.is_left_zero_divisor,
         is_right_zero_divisor=v.is_right_zero_divisor,
         is_tdz=v.is_tdz,
         is_regular=v.is_regular,
         certificate=(
-            None if v.certificate is None else _lift_certificate(v.certificate, tol)
+            None if v.certificate is None else _lift_certificate(v.certificate)
         ),
-        extra_certificates=tuple(
-            _lift_certificate(c, tol) for c in v.extra_certificates
-        ),
+        extra_certificates=tuple(_lift_certificate(c) for c in v.extra_certificates),
         warnings=v.warnings,
     )
 
@@ -133,7 +131,7 @@ def decide_tdz_mult(op: MultOperatorSpec, tol: Tolerances = DEFAULT_TOL) -> Verd
     Witnesses lift to M_{chi_{E_n}} (norm exactly 1, products of norm
     sup_{E_n} |h|); a regularity bound lifts with inverse M_{1/h}.
     """
-    return _lift_verdict(decide_tdz_linf(op.h, tol), tol)
+    return _lift_verdict(decide_tdz_linf(op.h, tol))
 
 
 def decide_zero_divisor_mult(
@@ -145,7 +143,7 @@ def decide_zero_divisor_mult(
     route (h attains zero) are the same finite check; the certificate is
     the annihilating operator M_{chi_{h = 0}}.
     """
-    verdict = _lift_verdict(decide_zero_divisor_linf(op.h, tol), tol)
+    verdict = _lift_verdict(decide_zero_divisor_linf(op.h, tol))
     spectral_says = spectrum_mult(op.h, tol).zero_class is ZeroClass.POINT_SPECTRUM
     if spectral_says != (verdict.is_left_zero_divisor.value == "yes"):
         raise AssertionError(

@@ -19,6 +19,7 @@ overrides keyed by the Tolerances field names.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -71,14 +72,19 @@ MODES = ("analyze", "certify", "section")
 
 def complex_from_json(x) -> complex:
     if isinstance(x, (int, float)):
-        return complex(x)
-    if (
+        z = complex(x)
+    elif (
         isinstance(x, (list, tuple))
         and len(x) == 2
         and all(isinstance(v, (int, float)) for v in x)
     ):
-        return complex(x[0], x[1])
-    raise InputError(f"expected a number or [re, im] pair, got {x!r}")
+        z = complex(x[0], x[1])
+    else:
+        raise InputError(f"expected a number or [re, im] pair, got {x!r}")
+    # NaN, Infinity and overflowing literals such as 1e400 all land here.
+    if not cmath.isfinite(z):
+        raise InputError(f"numbers must be finite, got {x!r}")
+    return z
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -90,6 +96,15 @@ def _complex_list(xs, what: str) -> list[complex]:
     if not isinstance(xs, list):
         raise InputError(f"{what} must be a list")
     return [complex_from_json(x) for x in xs]
+
+
+def _circle_poly(xs) -> CirclePolynomial:
+    coeffs = _complex_list(xs, "coeffs")
+    # |p| <= sum |a_k| on the circle, so a finite sum keeps every
+    # evaluation there finite.
+    if not math.isfinite(sum(math.hypot(c.real, c.imag) for c in coeffs)):
+        raise InputError("coefficient moduli must have a finite sum")
+    return CirclePolynomial(coeffs)
 
 
 def _parse_p(doc: dict) -> float:
@@ -196,9 +211,7 @@ def parse_request(doc: Any) -> AnalysisRequest:
         if tag == "disk":
             if "coeffs" not in doc:
                 raise InputError("disk form needs 'coeffs'")
-            payload: Any = CirclePolynomial(
-                _complex_list(doc["coeffs"], "coeffs")
-            )
+            payload: Any = _circle_poly(doc["coeffs"])
         elif tag == "linf":
             payload = _parse_linf_body(doc)
         else:
@@ -221,13 +234,7 @@ def parse_request(doc: Any) -> AnalysisRequest:
             order = doc.get("order", 8)
             if not isinstance(order, int) or order < 1:
                 raise InputError("'order' must be a positive integer")
-            payload = (
-                PolySymbol(
-                    CirclePolynomial(_complex_list(sym["coeffs"], "coeffs")),
-                    tol,
-                ),
-                order,
-            )
+            payload = (PolySymbol(_circle_poly(sym["coeffs"]), tol), order)
         else:
             raise InputError(f"unrecognized operator {tag!r}")
     else:

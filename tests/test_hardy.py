@@ -15,11 +15,17 @@ from tdzcert import (
     TruncatedSeries,
     compose_series,
     composition_matrix,
+    RegularityBound,
+    Side,
+    TriState,
     constant_symbol_certificates,
+    decide_composition_hardy,
+    left_zero_divisor_hardy,
     monomial_right_annihilator,
     operator_norm,
     right_zero_divisor_finite,
     verify_annihilator,
+    verify_certificate,
 )
 
 
@@ -227,3 +233,34 @@ def test_right_zero_divisor_forced_deficiency():
         assert found is not None
         assert operator_norm(found.element) == pytest.approx(1.0)
         assert operator_norm(found.element * t) <= 1e-9 * operator_norm(t)
+
+
+def test_decide_composition_hardy_shapes():
+    yes, no = TriState.YES, TriState.NO
+
+    v = decide_composition_hardy(sym([0.5]), 4)
+    assert (v.is_left_zero_divisor, v.is_right_zero_divisor) == (yes, yes)
+    assert v.is_tdz and not v.is_regular
+    assert [c.side for c in v.all_certificates] == [Side.LEFT, Side.RIGHT]
+    c = matrix_of([0.5], 4)
+    for cert in v.all_certificates:
+        assert verify_certificate(c, cert, operator_norm).passes
+
+    v = decide_composition_hardy(sym([0, 1]), 5)
+    assert (v.is_left_zero_divisor, v.is_right_zero_divisor) == (no, no)
+    assert v.is_regular and not v.is_tdz
+    assert v.certificate == RegularityBound(lambda0=1.0, description="identity symbol")
+    assert v.extra_certificates == ()
+
+    v = decide_composition_hardy(sym([0, 0, 0, 1]), 7)
+    assert (v.is_left_zero_divisor, v.is_right_zero_divisor) == (no, yes)
+    assert v.is_tdz and not v.is_regular
+    assert v.certificate.side is Side.RIGHT and v.extra_certificates == ()
+    c3 = matrix_of([0, 0, 0, 1], 7)
+    assert verify_certificate(c3, v.certificate, operator_norm).passes
+
+    # Neither constant, identity nor a pure monomial: undecided.
+    for coeffs in ([0, 0.25, 0.25], [0, 0.5], [0.1, 0, 0.5], [0, 0, 0.5]):
+        assert decide_composition_hardy(sym(coeffs), 6) is None
+        assert left_zero_divisor_hardy(sym(coeffs)) is no
+    assert left_zero_divisor_hardy(sym([0.5])) is yes

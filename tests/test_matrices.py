@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from tdzcert import (
+    CompositionOperatorSpec,
+    Divide,
     InputError,
     NumericError,
     OperatorMatrix,
+    SelfMapN,
+    finite_section_composition,
     operator_norm,
     star_tdz_inequality_check,
 )
@@ -43,7 +47,7 @@ def test_operator_norm_small_cases():
 
 def test_operator_norm_power_iteration_matches_svd():
     rng = np.random.default_rng(7)
-    # 80 > the direct-SVD cutoff, so this exercises power iteration.
+    # Many nonzeros per row and per column: this takes the dense SVD path.
     m = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
     want = np.linalg.svd(m, compute_uv=False)[0]
     got = operator_norm(OperatorMatrix(m))
@@ -51,12 +55,39 @@ def test_operator_norm_power_iteration_matches_svd():
 
 
 def test_operator_norm_survives_kernel_aligned_start():
-    # Rows summing to zero annihilate the all-ones start vector; the
-    # fallback start must still find the norm.
+    # A row summing to zero (a difference functional): at most one
+    # nonzero per column, so the row-norm path must find sqrt(2).
     m = np.zeros((80, 80))
     m[0, 2] = 1.0
     m[0, 5] = -1.0
     assert operator_norm(OperatorMatrix(m)) == pytest.approx(np.sqrt(2), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # 400 x 400 random complex diagonal: one nonzero per row.
+        np.diag(
+            np.random.default_rng(1).standard_normal(400)
+            + 1j * np.random.default_rng(2).standard_normal(400)
+        ),
+        # Divide-tail section phi(n) = ceil(n/3): columns hold 3 ones.
+        finite_section_composition(
+            CompositionOperatorSpec(SelfMapN((), Divide(3)), 2), 120
+        ).entries,
+        # Its adjoint: one nonzero per column.
+        finite_section_composition(
+            CompositionOperatorSpec(SelfMapN((), Divide(3)), 2), 120
+        ).entries.T,
+        # Huge entries must not overflow on the way to the norm.
+        np.diag([1e200, -3e200, 2e200]),
+        np.zeros((70, 70)),
+    ],
+    ids=["diagonal-400", "divide-section", "divide-adjoint", "huge-diagonal", "zero"],
+)
+def test_operator_norm_structured_matches_svd(entries):
+    want = np.linalg.svd(entries, compute_uv=False)[0]
+    assert operator_norm(OperatorMatrix(entries)) == pytest.approx(want, rel=1e-12)
 
 
 def test_operator_norm_rectangular():

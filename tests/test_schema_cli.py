@@ -18,6 +18,7 @@ from tdzcert import (
     InputError,
     MeasurableFn,
     MultOperatorSpec,
+    NumericError,
     SelfMapN,
     Shift,
     complex_from_json,
@@ -25,6 +26,7 @@ from tdzcert import (
     parse_request,
     serialize_element,
 )
+from tdzcert import cli
 from tdzcert.cli import main, run_request
 
 
@@ -336,6 +338,57 @@ def test_cli_honest_failure_is_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out["verdict"]["tdz"] is True
     assert out["report"]["passes"] is False
+
+
+def test_cli_gap_section_norm_is_exact(capsys, monkeypatch):
+    # The two largest |h| differ by 1e-4 relative; the norm of the
+    # diagonal section is its largest modulus, exactly.
+    doc = {
+        "operator": "mult",
+        "p": 2,
+        "h": {"space": "counting_n", "fn": {"prefix": [0.9999], "cycle": [1.0]}},
+        "mode": "section",
+        "N": 100,
+    }
+    code, out, err = cli_json(capsys, monkeypatch, doc)
+    assert code == 0 and err == ""
+    assert out["section_norm"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"algebra": "disk", "coeffs": [NaN, 1]}',
+        '{"algebra": "disk", "coeffs": [Infinity, 1]}',
+        '{"algebra": "disk", "coeffs": [[1, 1e400]]}',
+        '{"algebra": "disk", "coeffs": [1e308, 1e308], "mode": "certify"}',
+        '{"algebra": "linf", "space": "counting_n",'
+        ' "fn": {"prefix": [NaN], "decay_c": 1}, "mode": "certify"}',
+        '{"algebra": "linf", "space": {"finite_atoms": [NaN]}, "fn": {"vector": [1]}}',
+        '{"algebra": "disk", "coeffs": [1, 2], "tolerances": {"eps_norm": Infinity}}',
+        '{"algebra": "disk", "coeffs": [1, 2], "tolerances": {"n_witness": 4.5}}',
+        '{"operator": "compose_lp", "phi": {"tail": {"shift": NaN}}}',
+        '{"operator": "compose_lp", "phi": {"tail": {"shift": 1.5}}}',
+        '{"operator": "compose_lp", "phi": {"tail": {"divide": 2.5}}}',
+        '{"operator": "compose_hardy", "symbol": {"coeffs": [1e308, 1e308]}}',
+    ],
+)
+def test_cli_non_finite_input_is_exit_2(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["--stdin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_cli_harness_failure_is_exit_3(capsys, monkeypatch):
+    def broken(req):
+        raise NumericError("non-finite norm at witness index 1")
+
+    monkeypatch.setattr(cli, "run_request", broken)
+    code, out, err = cli_json(capsys, monkeypatch, {"algebra": "disk", "coeffs": [1]})
+    assert code == 3 and out is None
+    assert err.startswith("error: non-finite norm")
 
 
 def test_cli_input_file_and_pretty(tmp_path, capsys):
