@@ -132,22 +132,21 @@ def _run_pointwise(req: AnalysisRequest, h, x, oracle, decide_tdz, decide_zd):
 
 
 def _run_linf(req: AnalysisRequest):
-    f, tol = req.payload, req.tol
-    oracle = lambda g: linf_norm(g, tol)
-    return _run_pointwise(req, f, f, oracle, decide_tdz_linf, decide_zero_divisor_linf)
+    f = req.payload
+    return _run_pointwise(req, f, f, linf_norm, decide_tdz_linf, decide_zero_divisor_linf)
 
 
 def _run_mult(req: AnalysisRequest):
-    spec, tol = req.payload, req.tol
-    oracle = lambda t: mult_operator_norm(t, tol)
+    spec = req.payload
     out, code = _run_pointwise(
-        req, spec.h, MultOperator(spec.h), oracle, decide_tdz_mult, decide_zero_divisor_mult
+        req, spec.h, MultOperator(spec.h), mult_operator_norm,
+        decide_tdz_mult, decide_zero_divisor_mult,
     )
     if req.mode == "section":
-        section = finite_section_mult(spec, req.section_size, tol)
+        section = finite_section_mult(spec, req.section_size)
         out["section"] = serialize_matrix(section)
         out["section_norm"] = operator_norm(section)
-        out["ess_sup"] = linf_norm(spec.h, tol)
+        out["ess_sup"] = linf_norm(spec.h)
     return out, code
 
 

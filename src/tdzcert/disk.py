@@ -42,9 +42,6 @@ __all__ = [
     "sup_norm_on_circle",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class CirclePolynomial:
     """Complex polynomial ``a_0 + a_1 z + ... + a_d z^d``, constant first.
@@ -108,76 +105,55 @@ class CircleZeroSet:
     residual_min: float
 
 
-def _golden_section(f, a: float, b: float, maximize: bool, iters: int = 80):
-    """Golden-section search on [a, b]; returns (theta, f(theta))."""
-    sign = -1.0 if maximize else 1.0
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = sign * f(x1)
-    f2 = sign * f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = sign * f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = sign * f(x2)
-        if b - a < 1e-13:
-            break
-    if f1 <= f2:
-        return x1, sign * f1
-    return x2, sign * f2
-
-
 def _extremum_on_circle(p: CirclePolynomial, maximize: bool) -> float:
     """Extremum of ``|p(e^{i theta})|`` over the circle.
 
-    A coarse grid (at least 32 samples per degree, so every basin of
-    ``|p|`` is resolved -- the squared modulus is a trigonometric
-    polynomial of degree d with at most d local maxima) locates all
-    candidate basins; golden-section refinement inside each bracketing
-    interval then pins the value far below eps_norm accuracy.
+    Newton steps on ``g = |p|^2`` refine all seeds at once, each clipped to
+    its bracket [t0 - h, t0 + h] on a grid of m >= 32 (d + 1) angles.  The
+    seeds are every local grid extremum and every grid point whose g is
+    within ``(h d)^2 / 8 * sup g`` of the best: by Bernstein, ``|g''| <= d^2
+    sup g``, so that holds the grid point nearest the true extremum even
+    inside a root cluster.  The best grid or refined value is returned; it
+    is attained at a real angle.
     """
     d = p.degree
     if d == 0:
         return abs(p.coeffs[0])
+    sign = 1.0 if maximize else -1.0
     m = max(1024, 32 * (d + 1))
-    theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    vals = np.abs(p(np.exp(1j * theta)))
-
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    if maximize:
-        candidates = np.nonzero((vals >= left) & (vals >= right))[0]
-    else:
-        candidates = np.nonzero((vals <= left) & (vals <= right))[0]
-    best_idx = int(np.argmax(vals) if maximize else np.argmin(vals))
-    candidates = set(candidates.tolist()) | {best_idx}
-
     h = 2.0 * math.pi / m
-    f = lambda t: abs(p(np.exp(1j * t)))
-    best = vals[best_idx]
-    for i in candidates:
-        t0 = theta[i]
-        _, v = _golden_section(f, t0 - h, t0 + h, maximize=maximize)
-        if (maximize and v > best) or (not maximize and v < best):
-            best = v
-    return float(best)
+    theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    vals = sign * np.abs(p(np.exp(1j * theta)))
+    g = vals * vals
+    # sup g <= max g / (1 - c), by the same bound at the maximum.
+    c = (h * d) ** 2 / 8.0
+    near = sign * g >= sign * g[np.argmax(vals)] - c / (1.0 - c) * g.max()
+    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    t0 = theta[local | near]
+
+    k = np.arange(d + 1)
+    a = np.asarray(p.coeffs)
+    derivs = np.stack([a, 1j * k * a, -k * k * a], axis=1)
+    t = t0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            q, q1, q2 = (np.exp(1j * np.outer(t, k)) @ derivs).T
+            # g' / |g''| (factors of 2 cancel) steps uphill for sign * g
+            # even where g'' has the wrong sign; 0/0 on a flat modulus.
+            step = (q.conj() * q1).real / np.abs(np.abs(q1) ** 2 + (q.conj() * q2).real)
+            t = np.clip(t + sign * step, t0 - h, t0 + h)
+            t = np.where(np.isfinite(t), t, t0)
+    refined = sign * np.abs(p(np.exp(1j * t)))
+    return float(sign * max(vals.max(), refined.max()))
 
 
 def sup_norm_on_circle(p: CirclePolynomial, tol: Tolerances = DEFAULT_TOL) -> float:
     """Sup norm ``max_theta |p(e^{i theta})|`` to relative accuracy eps_norm."""
-    if not p.coeffs:
-        raise InputError("empty polynomial")
     return _extremum_on_circle(p, maximize=True)
 
 
 def min_modulus_on_circle(p: CirclePolynomial, tol: Tolerances = DEFAULT_TOL) -> float:
     """Minimum of ``|p|`` over the unit circle (the regularity estimate)."""
-    if not p.coeffs:
-        raise InputError("empty polynomial")
     return _extremum_on_circle(p, maximize=False)
 
 

@@ -262,9 +262,9 @@ def essential_stats(f: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> Essential
     )
 
 
-def linf_norm(f: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> float:
+def linf_norm(f: MeasurableFn) -> float:
     """The essential supremum; the norm oracle for this algebra."""
-    return essential_stats(f, tol).ess_sup
+    return essential_stats(f).ess_sup
 
 
 def _zero_set_indicator(f: MeasurableFn, tol: Tolerances) -> MeasurableFn:
@@ -278,7 +278,7 @@ def _zero_set_indicator(f: MeasurableFn, tol: Tolerances) -> MeasurableFn:
     return MeasurableFn(f.space, _map_values(v, on_zero))
 
 
-def _sublevel_indicator(f: MeasurableFn, n: int, tol: Tolerances) -> MeasurableFn:
+def _sublevel_indicator(f: MeasurableFn, n: int) -> MeasurableFn:
     """Indicator of E_n = {x : |f(x)| < 1/n}, exact for every representation."""
     if n < 1:
         raise InputError("witness index must be >= 1")
@@ -287,6 +287,9 @@ def _sublevel_indicator(f: MeasurableFn, n: int, tol: Tolerances) -> MeasurableF
     v = f.values
     if isinstance(v, DecayingTail):
         # Tail: |c|/m < 1/n iff m > |c| n; cutoff at floor(|c| n) is exact.
+        # Listing more than a million atoms could exhaust memory.
+        if abs(v.c) * n > 10**6:
+            raise InputError(f"E_{n} of the tail c/n needs {abs(v.c) * n:.6g} atoms, over 10**6")
         cut = max(len(v.prefix), math.floor(abs(v.c) * n))
         pre = [below(f.value_at(m)) for m in range(1, cut + 1)]
         fn = MeasurableFn(f.space, EventuallyPeriodic(pre, (1.0,)))
@@ -350,7 +353,7 @@ def decide_tdz_linf(f: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     zd = TriState.YES if stats.attains_zero else TriState.NO
     if stats.zero_in_ess_range:
         cert = WitnessSequence(
-            generator=lambda n: _sublevel_indicator(f, n, tol),
+            generator=lambda n: _sublevel_indicator(f, n),
             side=Side.LEFT,
             description="indicators of the sublevel sets E_n = {|f| < 1/n}",
         )
@@ -448,9 +451,7 @@ def _same_space(a: AtomicSpace, b: AtomicSpace) -> bool:
     return a == b
 
 
-def pointwise_product(
-    f: MeasurableFn, g: MeasurableFn, tol: Tolerances = DEFAULT_TOL
-) -> MeasurableFn:
+def pointwise_product(f: MeasurableFn, g: MeasurableFn) -> MeasurableFn:
     """Exact pointwise product within the representation family.
 
     Closed combinations: vector x vector, periodic x periodic (prefix to

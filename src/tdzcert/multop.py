@@ -80,9 +80,9 @@ class MultOperator:
         return MultOperator(pointwise_product(self.symbol, other.symbol))
 
 
-def mult_operator_norm(op: MultOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+def mult_operator_norm(op: MultOperator) -> float:
     """Operator norm of M_h on any L^p: the essential sup of the symbol."""
-    return linf_norm(op.symbol, tol)
+    return linf_norm(op.symbol)
 
 
 def _lift_certificate(cert):
@@ -153,9 +153,7 @@ def decide_zero_divisor_mult(
     return verdict
 
 
-def finite_section_mult(
-    op: MultOperatorSpec, n: int, tol: Tolerances = DEFAULT_TOL
-) -> OperatorMatrix:
+def finite_section_mult(op: MultOperatorSpec, n: int) -> OperatorMatrix:
     """The leading N x N section diag(h(1), ..., h(N)) of M_h at p = 2."""
     if op.p != 2:
         raise InputError("finite sections are defined for p = 2 only")

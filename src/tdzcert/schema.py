@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
+import numpy as np
+
 from .certificates import (
     Annihilator,
     CertificationReport,
@@ -248,10 +250,9 @@ def serialize_matrix(m: OperatorMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [
-            [complex_to_json(m.entries[i, j]) for j in range(m.cols)]
-            for i in range(m.rows)
-        ],
+        # OperatorMatrix stores a C-contiguous complex128 copy, so the
+        # float view pairs each entry's real and imaginary parts.
+        "entries": m.entries.view(np.float64).reshape(m.rows, m.cols, 2).tolist(),
     }
 
 

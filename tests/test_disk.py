@@ -80,6 +80,39 @@ def test_sup_norm_dominates_grid_on_random_polynomials():
         assert sup <= grid + 1e-6 * max(1.0, grid)
 
 
+def _oracle_families():
+    """Seeded polynomials that stress the circle oracle."""
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        d = int(rng.integers(1, 41))
+        yield CirclePolynomial(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+    for _ in range(8):
+        # A cluster of 2-5 roots within 1e-3 of a point of the circle.
+        k = int(rng.integers(2, 6))
+        center = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        roots = center * (1 + 1e-3 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)))
+        yield CirclePolynomial(np.poly(roots)[::-1])
+    for k in (1, 5, 17, 40):
+        yield CirclePolynomial([0] * k + [0.6 - 0.3j])  # flat modulus
+    for n in (10, 50, 120):
+        z0 = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        yield CirclePolynomial([-z0, 1]) * peak_witness(z0, n)
+
+
+def test_oracle_brackets_a_fine_grid():
+    # The oracle refines its own grid, so against a finer grid its sup may
+    # fall short and its min exceed only by rounding and Newton's last step.
+    for p in _oracle_families():
+        theta = np.linspace(0.0, 2.0 * math.pi, 2**16, endpoint=False)
+        grid = np.abs(p(np.exp(1j * theta)))
+        sup = sup_norm_on_circle(p)
+        assert sup >= grid.max() - 1e-12 * sup
+        assert min_modulus_on_circle(p) <= grid.min() + 1e-10 * sup
+    flat = CirclePolynomial([0, 0, 0, 0, 0, 0.37])
+    assert sup_norm_on_circle(flat) == pytest.approx(0.37, rel=1e-15, abs=0)
+    assert min_modulus_on_circle(flat) == pytest.approx(0.37, rel=1e-15, abs=0)
+
+
 def test_min_modulus():
     assert min_modulus_on_circle(CirclePolynomial([-2, 1])) == pytest.approx(1.0)
     assert min_modulus_on_circle(CirclePolynomial([-1, 1])) == pytest.approx(0.0, abs=1e-9)

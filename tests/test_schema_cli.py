@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tdzcert import (
@@ -19,12 +20,14 @@ from tdzcert import (
     MeasurableFn,
     MultOperatorSpec,
     NumericError,
+    OperatorMatrix,
     SelfMapN,
     Shift,
     complex_from_json,
     complex_to_json,
     parse_request,
     serialize_element,
+    serialize_matrix,
 )
 from tdzcert import cli
 from tdzcert.cli import main, run_request
@@ -50,6 +53,14 @@ def test_complex_json_forms():
     for bad in ("x", [1], [1, 2, 3], ["a", "b"], None):
         with pytest.raises(InputError):
             complex_from_json(bad)
+    # An adjoint conjugates real entries to imaginary part -0.0; the
+    # serialized matrix matches the per-entry form, signed zeros included.
+    m = OperatorMatrix(np.array([[1, 2j, 0], [0.5, 3 - 1j, -4]])).adjoint()
+    want = [[complex_to_json(z) for z in row] for row in m.entries]
+    got = serialize_matrix(m)
+    assert (got["rows"], got["cols"]) == (3, 2)
+    assert json.dumps(got["entries"]) == json.dumps(want)
+    assert "-0.0" in json.dumps(got["entries"])
 
 
 def test_parse_disk_round_trip():
@@ -382,6 +393,15 @@ def test_cli_non_finite_input_is_exit_2(capsys, monkeypatch, text):
 
 
 def test_cli_harness_failure_is_exit_3(capsys, monkeypatch):
+    # The first witness of a c/n tail with |c| = 1e308 would list 1e308
+    # atoms; the refusal ends the harness run.
+    doc = {"algebra": "linf", "space": "counting_n",
+           "fn": {"prefix": [1e308], "decay_c": 1e308},
+           "mode": "certify", "tolerances": {"n_witness": 3}}
+    code, out, err = cli_json(capsys, monkeypatch, doc)
+    assert code == 3 and out is None
+    assert err.startswith("error: witness generator failed") and "atoms" in err
+
     def broken(req):
         raise NumericError("non-finite norm at witness index 1")
 
