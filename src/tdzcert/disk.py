@@ -110,34 +110,33 @@ def _extremum_on_circle(p: CirclePolynomial, maximize: bool) -> float:
 
     Newton steps on ``g = |p|^2`` refine all seeds at once, each clipped to
     its bracket [t0 - h, t0 + h] on a grid of m >= 32 (d + 1) angles.  The
-    seeds are every local grid extremum and every grid point whose g is
-    within ``(h d)^2 / 8 * sup g`` of the best: by Bernstein, ``|g''| <= d^2
-    sup g``, so that holds the grid point nearest the true extremum even
-    inside a root cluster.  The best grid or refined value is returned; it
-    is attained at a real angle.
+    seeds are the grid points whose g is within ``(h d)^2 / 8 * sup g`` of
+    the best: by Bernstein, ``|g''| <= d^2 sup g``, so they hold the grid
+    point nearest every extremum that beats the grid, even inside a root
+    cluster.  The best grid or refined value is returned; it is attained at
+    a real angle.
     """
     d = p.degree
-    if d == 0:
-        return abs(p.coeffs[0])
     sign = 1.0 if maximize else -1.0
     m = max(1024, 32 * (d + 1))
     h = 2.0 * math.pi / m
     theta = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     vals = sign * np.abs(p(np.exp(1j * theta)))
-    g = vals * vals
+    # g / max g, so squares neither overflow nor underflow at any scale;
     # sup g <= max g / (1 - c), by the same bound at the maximum.
+    g = (vals / (np.abs(vals).max() or 1.0)) ** 2
     c = (h * d) ** 2 / 8.0
-    near = sign * g >= sign * g[np.argmax(vals)] - c / (1.0 - c) * g.max()
-    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    t0 = theta[local | near]
+    t0 = theta[sign * g >= (sign * g).max() - c / (1.0 - c)]
 
+    # p, p' and p'' in theta by Horner (O(seeds) memory), scaled by
+    # 1 / max |a_k|: the step is a ratio, so it is the same at any scale.
     k = np.arange(d + 1)
-    a = np.asarray(p.coeffs)
+    a = np.asarray(p.coeffs) / (np.abs(p.coeffs).max() or 1.0)
     derivs = np.stack([a, 1j * k * a, -k * k * a], axis=1)
     t = t0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(8):
-            q, q1, q2 = (np.exp(1j * np.outer(t, k)) @ derivs).T
+            q, q1, q2 = np.polynomial.polynomial.polyval(np.exp(1j * t), derivs)
             # g' / |g''| (factors of 2 cancel) steps uphill for sign * g
             # even where g'' has the wrong sign; 0/0 on a flat modulus.
             step = (q.conj() * q1).real / np.abs(np.abs(q1) ** 2 + (q.conj() * q2).real)

@@ -92,11 +92,15 @@ def _oracle_families():
         center = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         roots = center * (1 + 1e-3 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)))
         yield CirclePolynomial(np.poly(roots)[::-1])
-    for k in (1, 5, 17, 40):
-        yield CirclePolynomial([0] * k + [0.6 - 0.3j])  # flat modulus
+    for k in (0, 1, 5, 17, 40):
+        yield CirclePolynomial([0] * k + [0.6 - 0.3j])  # flat modulus, or constant
     for n in (10, 50, 120):
         z0 = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         yield CirclePolynomial([-z0, 1]) * peak_witness(z0, n)
+    for scale in (1e200, 1e-200):
+        # A root just off the circle, halfway between two 1024-grid angles.
+        z0 = 1.001 * cmath.exp(1j * math.pi * 75 / 1024)
+        yield CirclePolynomial([-scale * z0, scale], trim_eps=0.0)
 
 
 def test_oracle_brackets_a_fine_grid():
