@@ -41,6 +41,7 @@ from .measure import (
     EventuallyPeriodic,
     MeasurableFn,
     decide_tdz_linf,
+    linf_norm,
 )
 from .multop import MultOperatorSpec, finite_section_mult
 
@@ -197,8 +198,7 @@ def rn_derivative(phi: SelfMapN) -> MeasurableFn:
 
 def composition_norm(spec: CompositionOperatorSpec) -> float:
     """||C_phi|| = (sup_m |phi^{-1}(m)|)^(1/p), exact from the representation."""
-    rn = rn_derivative(spec.phi).values
-    sup = max([abs(x) for x in rn.prefix] + [abs(x) for x in rn.cycle])
+    sup = linf_norm(rn_derivative(spec.phi))
     if math.isinf(spec.p):
         return 1.0 if sup > 0 else 0.0
     return float(sup ** (1.0 / spec.p))

@@ -4,6 +4,9 @@ Three exact representations cover the phenomena that matter: a finite
 vector on finitely many weighted atoms (zero attained or not), an
 eventually periodic sequence on counting measure (finite value set), and
 a decaying tail c/n (zero is a limit of values but never attained).  The
+two counting-measure forms may carry an implicit run of zero atoms
+between their prefix and their cycle or tail, so a sublevel witness of a
+c/n tail, and every product with one, stores only the real prefix.  The
 distinction between a zero divisor (zero attained on an atom) and a TDZ
 that is not a zero divisor (zero only a limit) needs the infinite space;
 it is invisible on finite ones.
@@ -95,20 +98,23 @@ class FiniteVector:
 
 @dataclass(frozen=True)
 class EventuallyPeriodic:
-    """Sequence on CountingN: prefix of length N, then cycle repeats.
+    """Sequence on CountingN: prefix of length N, then ``zeros`` zero atoms,
+    then cycle repeats.
 
-    Value at n > N is ``cycle[(n - N - 1) % len(cycle)]``.
+    Value at n > H = N + zeros is ``cycle[(n - H - 1) % len(cycle)]``.
     """
 
     prefix: tuple[complex, ...]
     cycle: tuple[complex, ...]
+    zeros: int = 0
 
-    def __init__(self, prefix, cycle):
+    def __init__(self, prefix, cycle, zeros=0):
         c = tuple(complex(x) for x in cycle)
         if not c:
             raise InputError("cycle must be nonempty")
         object.__setattr__(self, "prefix", tuple(complex(x) for x in prefix))
         object.__setattr__(self, "cycle", c)
+        object.__setattr__(self, "zeros", _zero_run(zeros))
 
     @property
     def is_eventually_constant(self) -> bool:
@@ -117,12 +123,14 @@ class EventuallyPeriodic:
 
 @dataclass(frozen=True)
 class DecayingTail:
-    """Sequence on CountingN: prefix of length N, then c/n for n > N."""
+    """Sequence on CountingN: prefix of length N, then ``zeros`` zero atoms,
+    then c/n for n > H = N + zeros."""
 
     prefix: tuple[complex, ...]
     c: complex
+    zeros: int = 0
 
-    def __init__(self, prefix, c):
+    def __init__(self, prefix, c, zeros=0):
         c = complex(c)
         if c == 0:
             raise InputError(
@@ -130,25 +138,45 @@ class DecayingTail:
             )
         object.__setattr__(self, "prefix", tuple(complex(x) for x in prefix))
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "zeros", _zero_run(zeros))
+
+
+def _zero_run(zeros) -> int:
+    if not (isinstance(zeros, int) and zeros >= 0):
+        raise InputError("a zero run must be a nonnegative integer")
+    return zeros
 
 
 Representation = Union[FiniteVector, EventuallyPeriodic, DecayingTail]
+
+
+def _head(v: Union[EventuallyPeriodic, DecayingTail]) -> int:
+    """The last atom before the cycle or tail starts."""
+    return len(v.prefix) + v.zeros
 
 
 def _stored_values(v: Representation) -> tuple[complex, ...]:
     """Every value a representation stores; a decaying tail stores its prefix."""
     if isinstance(v, FiniteVector):
         return v.values
+    run = (0j,) if v.zeros else ()
     if isinstance(v, EventuallyPeriodic):
-        return v.prefix + v.cycle
-    return v.prefix
+        return v.prefix + run + v.cycle
+    return v.prefix + run
 
 
 def _map_values(v: Union[FiniteVector, EventuallyPeriodic], fn):
-    """The same representation with ``fn`` applied to every stored value."""
+    """The same representation with ``fn`` applied to every stored value.
+
+    A zero run is written out, and ``fn(0j)`` is evaluated only when there
+    is one: the reciprocal of a regular element never sees zero.
+    """
     if isinstance(v, FiniteVector):
         return FiniteVector([fn(x) for x in v.values])
-    return EventuallyPeriodic([fn(x) for x in v.prefix], [fn(x) for x in v.cycle])
+    pre = [fn(x) for x in v.prefix]
+    if v.zeros:
+        pre += [fn(0j)] * v.zeros
+    return EventuallyPeriodic(pre, [fn(x) for x in v.cycle])
 
 
 @dataclass(frozen=True)
@@ -188,8 +216,11 @@ class MeasurableFn:
             return v.values[n - 1]
         if n <= len(v.prefix):
             return v.prefix[n - 1]
+        head = _head(v)
+        if n <= head:
+            return 0j
         if isinstance(v, EventuallyPeriodic):
-            return v.cycle[(n - len(v.prefix) - 1) % len(v.cycle)]
+            return v.cycle[(n - head - 1) % len(v.cycle)]
         return v.c / n
 
     @property
@@ -236,12 +267,12 @@ def essential_stats(f: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> Essential
     """Essential supremum, zero attainment, and minimum modulus of ``f``.
 
     The stored values are attained on positive-measure sets; a decaying
-    tail adds the supremum |c|/(N+1) and the infimum limit 0 on its own.
+    tail adds the supremum |c|/(H+1) and the infimum limit 0 on its own.
     """
     moduli = [abs(x) for x in _stored_values(f.values)]
     v = f.values
     if isinstance(v, DecayingTail):
-        tail_sup = abs(v.c) / (len(v.prefix) + 1)
+        tail_sup = abs(v.c) / (_head(v) + 1)
         ess_sup = max(moduli + [tail_sup])
         attains = any(m <= tol.eps_zero for m in moduli)
         return EssentialStats(
@@ -272,8 +303,8 @@ def _zero_set_indicator(f: MeasurableFn, tol: Tolerances) -> MeasurableFn:
     v = f.values
     on_zero = lambda x: 1.0 if abs(x) <= tol.eps_zero else 0.0
     if isinstance(v, DecayingTail):
-        # Decaying tails vanish only on prefix atoms.
-        v = EventuallyPeriodic([on_zero(x) for x in v.prefix], (0.0,))
+        # Decaying tails vanish only on prefix atoms and on their zero run.
+        v = EventuallyPeriodic([on_zero(x) for x in v.prefix] + [1.0] * v.zeros, (0.0,))
         return MeasurableFn(f.space, v)
     return MeasurableFn(f.space, _map_values(v, on_zero))
 
@@ -287,12 +318,14 @@ def _sublevel_indicator(f: MeasurableFn, n: int) -> MeasurableFn:
     v = f.values
     if isinstance(v, DecayingTail):
         # Tail: |c|/m < 1/n iff m > |c| n; cutoff at floor(|c| n) is exact.
-        # Listing more than a million atoms could exhaust memory.
-        if abs(v.c) * n > 10**6:
-            raise InputError(f"E_{n} of the tail c/n needs {abs(v.c) * n:.6g} atoms, over 10**6")
-        cut = max(len(v.prefix), math.floor(abs(v.c) * n))
-        pre = [below(f.value_at(m)) for m in range(1, cut + 1)]
-        fn = MeasurableFn(f.space, EventuallyPeriodic(pre, (1.0,)))
+        # The tail atoms up to the cut are outside E_n: one zero run.
+        bound = abs(v.c) * n
+        if not math.isfinite(bound):
+            raise InputError(f"E_{n} of the tail c/n starts after |c| n = {bound} atoms")
+        head = _head(v)
+        cut = max(head, math.floor(bound))
+        pre = [below(x) for x in v.prefix] + [1.0] * v.zeros
+        fn = MeasurableFn(f.space, EventuallyPeriodic(pre, (1.0,), cut - head))
     else:
         fn = MeasurableFn(f.space, _map_values(v, below))
     if fn.is_identically_zero:
@@ -420,7 +453,7 @@ def spectrum_mult(h: MeasurableFn, tol: Tolerances = DEFAULT_TOL) -> SpectrumRep
     if isinstance(v, DecayingTail):
         tail = (
             f"plus the attained tail values {_fmt_c(v.c)}/n "
-            f"for n > {len(v.prefix)}"
+            f"for n > {_head(v)}"
         )
     if stats.attains_zero:
         zero_class = ZeroClass.POINT_SPECTRUM
@@ -456,8 +489,10 @@ def pointwise_product(f: MeasurableFn, g: MeasurableFn) -> MeasurableFn:
 
     Closed combinations: vector x vector, periodic x periodic (prefix to
     the max, cycle to the lcm), and decaying tail x eventually-constant
-    periodic (the tail shape c/n survives scaling by a constant).  Any
-    other pairing leaves the family and is rejected, never approximated.
+    periodic (the tail shape c/n survives scaling by a constant).  Past
+    the longer prefix one factor is zero up to its own head, so the
+    product's zero run ends at the later head.  Any other pairing leaves
+    the family and is rejected, never approximated.
     """
     if not _same_space(f.space, g.space):
         raise InputError("pointwise product requires the same space")
@@ -467,10 +502,11 @@ def pointwise_product(f: MeasurableFn, g: MeasurableFn) -> MeasurableFn:
         return MeasurableFn(f.space, FiniteVector(vals))
     if isinstance(fv, EventuallyPeriodic) and isinstance(gv, EventuallyPeriodic):
         n = max(len(fv.prefix), len(gv.prefix))
+        head = max(_head(fv), _head(gv))
         l = math.lcm(len(fv.cycle), len(gv.cycle))
         pre = [f.value_at(m) * g.value_at(m) for m in range(1, n + 1)]
-        cyc = [f.value_at(n + 1 + j) * g.value_at(n + 1 + j) for j in range(l)]
-        return MeasurableFn(f.space, EventuallyPeriodic(pre, cyc))
+        cyc = [f.value_at(head + 1 + j) * g.value_at(head + 1 + j) for j in range(l)]
+        return MeasurableFn(f.space, EventuallyPeriodic(pre, cyc, head - n))
     if isinstance(gv, DecayingTail):
         # Normalize so the tail factor comes first; the product commutes.
         f, g = g, f
@@ -486,7 +522,8 @@ def pointwise_product(f: MeasurableFn, g: MeasurableFn) -> MeasurableFn:
         pre = [f.value_at(m) * g.value_at(m) for m in range(1, n + 1)]
         if k == 0:
             return MeasurableFn(f.space, EventuallyPeriodic(pre, (0.0,)))
-        return MeasurableFn(f.space, DecayingTail(pre, fv.c * k))
+        head = max(_head(fv), _head(gv))
+        return MeasurableFn(f.space, DecayingTail(pre, fv.c * k, head - n))
     raise UnsupportedProductError(
         f"product of {type(fv).__name__} and {type(gv).__name__} is not "
         "representable"

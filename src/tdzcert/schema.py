@@ -268,12 +268,12 @@ def _serialize_fn_body(f: MeasurableFn) -> dict:
         fn: dict = {"vector": [complex_to_json(x) for x in v.values]}
     elif isinstance(v, EventuallyPeriodic):
         fn = {
-            "prefix": [complex_to_json(x) for x in v.prefix],
+            "prefix": [complex_to_json(x) for x in v.prefix + (0j,) * v.zeros],
             "cycle": [complex_to_json(x) for x in v.cycle],
         }
     else:
         fn = {
-            "prefix": [complex_to_json(x) for x in v.prefix],
+            "prefix": [complex_to_json(x) for x in v.prefix + (0j,) * v.zeros],
             "decay_c": complex_to_json(v.c),
         }
     return {"space": _serialize_space(f.space), "fn": fn}

@@ -1,6 +1,7 @@
 """L-infinity elements on atomic spaces: stats, verdicts, products."""
 
 import itertools
+import random
 
 import pytest
 
@@ -25,9 +26,12 @@ from tdzcert import (
     linf_norm,
     pointwise_product,
     spectrum_mult,
+    serialize_element,
     verify_certificate,
     verify_tdz_certificate,
 )
+from tdzcert.certificates import DEFAULT_TOL
+from tdzcert.measure import _sublevel_indicator, _zero_set_indicator
 
 N = CountingN()
 
@@ -272,3 +276,83 @@ def test_pointwise_product_unrepresentable():
 def test_mul_operator_syntax():
     p = fv(1, 2) * fv(3, 4)
     assert p.values.values == (3, 8)
+
+
+def written_out(f):
+    """The same element with its zero run stored atom by atom."""
+    v = f.values
+    pre = v.prefix + (0j,) * v.zeros
+    if isinstance(v, DecayingTail):
+        return dt(pre, v.c)
+    return ep(pre, v.cycle)
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateInputError, UnsupportedProductError) as exc:
+        return type(exc)
+
+
+def atoms(f, k=60):
+    return [f.value_at(m) for m in range(1, k + 1)]
+
+
+def test_zero_runs_match_written_out_form():
+    rng = random.Random(11)
+    values = (0, 0.05, -0.3j, 1, 2 - 1j, 0.004)
+    pick = lambda lo, hi: [rng.choice(values) for _ in range(rng.randint(lo, hi))]
+
+    def periodic():
+        return MeasurableFn(N, EventuallyPeriodic(pick(0, 4), pick(1, 3), rng.randint(0, 5)))
+
+    def tail():
+        c = rng.choice((0.5, 1.7 + 0.3j, -2, 3))
+        return MeasurableFn(N, DecayingTail(pick(0, 4), c, rng.randint(0, 5)))
+
+    def constant():
+        k = rng.choice((0, 0, 2.5, -1j))
+        return MeasurableFn(N, EventuallyPeriodic(pick(0, 4), (k,), rng.randint(0, 5)))
+
+    for _ in range(200):
+        f = rng.choice((periodic, tail))()
+        ref = written_out(f)
+        assert atoms(f) == atoms(ref)
+        assert essential_stats(f) == essential_stats(ref)
+        assert outcome(spectrum_mult, f) == outcome(spectrum_mult, ref)
+        assert _zero_set_indicator(f, DEFAULT_TOL) == _zero_set_indicator(ref, DEFAULT_TOL)
+        for n in range(1, 7):
+            w, wref = outcome(_sublevel_indicator, f, n), outcome(_sublevel_indicator, ref, n)
+            if isinstance(w, MeasurableFn):
+                assert atoms(w) == atoms(wref) and linf_norm(w) == linf_norm(wref)
+                assert len(w.values.prefix) == len(f.values.prefix) + f.values.zeros
+            else:
+                assert w is wref
+        assert serialize_element(f) == serialize_element(ref)
+
+        g = rng.choice((periodic, tail, constant))()
+        for a, b in ((f, g), (g, f)):
+            p = outcome(pointwise_product, a, b)
+            pref = outcome(pointwise_product, written_out(a), written_out(b))
+            if not isinstance(p, MeasurableFn):
+                assert p is pref
+                continue
+            assert atoms(p) == atoms(pref)
+            # A tail product stores c k / m, not (c / m) k: equal up to rounding.
+            exact = [x * y for x, y in zip(atoms(a), atoms(b))]
+            assert atoms(p) == pytest.approx(exact, rel=1e-15, abs=0)
+            assert essential_stats(p) == essential_stats(pref)
+            assert len(p.values.prefix) == max(len(a.values.prefix), len(b.values.prefix))
+
+
+def test_tail_witness_stores_only_the_prefix():
+    w = _sublevel_indicator(dt((), 3), 10**9)
+    assert w.values.prefix == () and w.values.zeros == 3 * 10**9
+    assert w.value_at(3 * 10**9) == 0 and w.value_at(3 * 10**9 + 1) == 1
+    f = dt((0.5, 0), 3)
+    w = _sublevel_indicator(f, 10**9)
+    assert w.values.prefix == (0, 1)
+    p = pointwise_product(f, w)
+    assert p.values.prefix == (0, 0)
+    assert linf_norm(p) == 3 / (3 * 10**9 + 1)

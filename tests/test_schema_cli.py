@@ -393,8 +393,8 @@ def test_cli_non_finite_input_is_exit_2(capsys, monkeypatch, text):
 
 
 def test_cli_harness_failure_is_exit_3(capsys, monkeypatch):
-    # The first witness of a c/n tail with |c| = 1e308 would list 1e308
-    # atoms; the refusal ends the harness run.
+    # For a c/n tail with |c| = 1e308 the second witness starts after
+    # |c| * 2 = inf atoms; the refusal ends the harness run.
     doc = {"algebra": "linf", "space": "counting_n",
            "fn": {"prefix": [1e308], "decay_c": 1e308},
            "mode": "certify", "tolerances": {"n_witness": 3}}
@@ -433,6 +433,11 @@ def test_cli_tolerance_flag(capsys, monkeypatch):
     code, out, _ = cli_json(capsys, monkeypatch, doc, "--n-witness", "5")
     assert code == 0
     assert len(out["report"]["samples"]) == 5
+
+    # E_200 of 1e4/n starts after 2e6 atoms; none of them is listed.
+    doc = dict(doc, fn={"prefix": [], "decay_c": 1e4}, tolerances={"n_witness": 200})
+    code, out, _ = cli_json(capsys, monkeypatch, doc)
+    assert code == 0 and out["report"]["passes"]
 
 
 def test_analyze_certify_verdicts_agree(capsys, monkeypatch):
