@@ -150,6 +150,22 @@ def _zero_run(zeros) -> int:
 Representation = Union[FiniteVector, EventuallyPeriodic, DecayingTail]
 
 
+# A zero run is stored as a count.  Where it must be written out atom by
+# atom (a map over the values, a zero set, a serialized element), a run
+# longer than this is refused instead of built.
+MAX_WRITTEN_RUN = 10**6
+
+
+def written_run(v: Union[EventuallyPeriodic, DecayingTail], value) -> list:
+    """The zero run of ``v`` written out with ``value`` on every atom."""
+    if v.zeros > MAX_WRITTEN_RUN:
+        raise InputError(
+            f"a run of {v.zeros} zero atoms is too long to write out "
+            f"(at most {MAX_WRITTEN_RUN})"
+        )
+    return [value] * v.zeros
+
+
 def _head(v: Union[EventuallyPeriodic, DecayingTail]) -> int:
     """The last atom before the cycle or tail starts."""
     return len(v.prefix) + v.zeros
@@ -175,7 +191,7 @@ def _map_values(v: Union[FiniteVector, EventuallyPeriodic], fn):
         return FiniteVector([fn(x) for x in v.values])
     pre = [fn(x) for x in v.prefix]
     if v.zeros:
-        pre += [fn(0j)] * v.zeros
+        pre += written_run(v, fn(0j))
     return EventuallyPeriodic(pre, [fn(x) for x in v.cycle])
 
 
@@ -304,7 +320,7 @@ def _zero_set_indicator(f: MeasurableFn, tol: Tolerances) -> MeasurableFn:
     on_zero = lambda x: 1.0 if abs(x) <= tol.eps_zero else 0.0
     if isinstance(v, DecayingTail):
         # Decaying tails vanish only on prefix atoms and on their zero run.
-        v = EventuallyPeriodic([on_zero(x) for x in v.prefix] + [1.0] * v.zeros, (0.0,))
+        v = EventuallyPeriodic([on_zero(x) for x in v.prefix] + written_run(v, 1.0), (0.0,))
         return MeasurableFn(f.space, v)
     return MeasurableFn(f.space, _map_values(v, on_zero))
 
@@ -324,7 +340,7 @@ def _sublevel_indicator(f: MeasurableFn, n: int) -> MeasurableFn:
             raise InputError(f"E_{n} of the tail c/n starts after |c| n = {bound} atoms")
         head = _head(v)
         cut = max(head, math.floor(bound))
-        pre = [below(x) for x in v.prefix] + [1.0] * v.zeros
+        pre = [below(x) for x in v.prefix] + written_run(v, 1.0)
         fn = MeasurableFn(f.space, EventuallyPeriodic(pre, (1.0,), cut - head))
     else:
         fn = MeasurableFn(f.space, _map_values(v, below))

@@ -55,6 +55,7 @@ from .measure import (
     FiniteAtoms,
     FiniteVector,
     MeasurableFn,
+    written_run,
 )
 from .multop import MultOperator, MultOperatorSpec
 
@@ -268,12 +269,12 @@ def _serialize_fn_body(f: MeasurableFn) -> dict:
         fn: dict = {"vector": [complex_to_json(x) for x in v.values]}
     elif isinstance(v, EventuallyPeriodic):
         fn = {
-            "prefix": [complex_to_json(x) for x in v.prefix + (0j,) * v.zeros],
+            "prefix": [complex_to_json(x) for x in (*v.prefix, *written_run(v, 0j))],
             "cycle": [complex_to_json(x) for x in v.cycle],
         }
     else:
         fn = {
-            "prefix": [complex_to_json(x) for x in v.prefix + (0j,) * v.zeros],
+            "prefix": [complex_to_json(x) for x in (*v.prefix, *written_run(v, 0j))],
             "decay_c": complex_to_json(v.c),
         }
     return {"space": _serialize_space(f.space), "fn": fn}

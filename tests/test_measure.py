@@ -356,3 +356,10 @@ def test_tail_witness_stores_only_the_prefix():
     p = pointwise_product(f, w)
     assert p.values.prefix == (0, 0)
     assert linf_norm(p) == 3 / (3 * 10**9 + 1)
+    # Runs are written out (a zero set, a serialized element) only up to
+    # 10**6 atoms; a longer one is refused instead of built.
+    v = decide_zero_divisor_linf(_sublevel_indicator(dt((), 1), 10**6))
+    assert v.is_left_zero_divisor is TriState.YES
+    for call in (decide_zero_divisor_linf, serialize_element, lambda g: _sublevel_indicator(g, 1)):
+        with pytest.raises(InputError, match="zero atoms"):
+            call(_sublevel_indicator(dt((), 1), 10**6 + 1))

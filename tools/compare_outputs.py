@@ -1,29 +1,25 @@
 """Compare the CLI responses of two source trees on the same requests.
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
-    python3 tools/compare_outputs.py OLD_TREE NEW_TREE \\
-        --rounds mixed-small:0-2 --rounds sections:0 --seed 1 --seed 7 \\
-        --requests recorded.jsonl
 
 Each tree is a checkout with the package under ``src/``.  The requests
-are benchmark rounds from ``perfbench/workloads.py`` of this checkout
-(``make_round``, imported and not changed), plus, with ``--requests``,
-one JSON object per line of the form ``{"argv": [...], "stdin": "..."}``.
-Every tree serves all requests in one subprocess of its own, through
-``tdzcert.cli.main`` with stdin, stdout and stderr swapped for buffers,
-exactly as ``perfbench/run.py`` serves them.
+are the benchmark rounds in ``ROUNDS`` at each seed in ``SEEDS``, built
+by ``perfbench/workloads.py`` of this checkout (``make_round``, imported
+and not changed).  Every tree serves all requests in one subprocess of
+its own, each request through ``perfbench/run.py``'s ``serve``, that is
+``tdzcert.cli.main(["--stdin"])`` with stdin, stdout and stderr swapped
+for buffers.  A request still running after ``REQUEST_TIMEOUT_S`` is
+stopped and recorded as a timeout.
 
-A response is identical when its exit code, stdout and stderr are equal
-byte for byte.  The tool prints the count of identical responses and,
-for each other one, where it came from, both exit codes and the JSON
-paths at which the two stdouts differ.  It exits 1 when any differ.
+A response is identical when its exit code, stdout, stderr and uncaught
+exception are equal.  The tool prints the count of identical responses
+and, for each other one, where it came from, both exit codes and the
+JSON paths at which the two stdouts differ.  It exits 1 when any differ.
 Standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
-import io
 import json
 import signal
 import subprocess
@@ -31,79 +27,65 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_ROUNDS = ("mixed-small:0-2", "sections:0", "disk-certify:0")
-DEFAULT_SEEDS = (1, 7)
+sys.path.insert(0, str(ROOT / "perfbench"))
+# (workload, rounds) pairs; every round at every seed.
+ROUNDS = (("mixed-small", range(3)), ("sections", range(1)), ("disk-certify", range(1)))
+SEEDS = (1, 7)
+REQUEST_TIMEOUT_S = 20.0
 
 
 class RequestTimeout(BaseException):
-    """Raised by the alarm; a BaseException so ``cli.main`` cannot catch it."""
+    """Raised by the alarm; a BaseException so neither ``cli.main`` nor
+    ``serve`` catches it."""
 
 
 def _on_alarm(signum, frame):
     raise RequestTimeout
 
 
-def serve(tree: str, timeout: float) -> None:
+def serve_tree(tree: str) -> None:
     """Worker: read requests as JSON on stdin, write one result per request."""
-    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+    src = Path(tree).resolve() / "src"
+    sys.path.insert(0, str(src))
+    from run import serve
     from tdzcert.cli import main
 
-    requests = json.load(sys.stdin)
-    real_stdout = sys.stdout
+    if Path(sys.modules["tdzcert"].__file__).resolve().parent != src / "tdzcert":
+        raise SystemExit(f"tdzcert loaded from {sys.modules['tdzcert'].__file__}, not {src}")
+    texts = json.load(sys.stdin)
     signal.signal(signal.SIGALRM, _on_alarm)
     results = []
-    for req in requests:
-        sys.stdin, sys.stdout, sys.stderr = io.StringIO(req["stdin"]), io.StringIO(), io.StringIO()
-        code = None
+    for text in texts:
+        signal.setitimer(signal.ITIMER_REAL, REQUEST_TIMEOUT_S)
         try:
-            signal.setitimer(signal.ITIMER_REAL, timeout)
-            code = main(req["argv"])
-        except SystemExit as exc:
-            code = exc.code
+            _, code, out, err, error = serve(main, text)
         except RequestTimeout:
-            code = f"timeout after {timeout:g} s"
-        except Exception as exc:  # a traceback is a result to compare, not a stop
-            code = f"raised {type(exc).__name__}: {exc}"
+            code, out, err, error = None, "", "", f"timeout after {REQUEST_TIMEOUT_S:g} s"
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
-            out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-            sys.stdin, sys.stdout, sys.stderr = sys.__stdin__, real_stdout, sys.__stderr__
-        results.append({"code": code, "stdout": out, "stderr": err})
-    json.dump(results, real_stdout)
+        if error is not None and not isinstance(error, str):
+            error = f"raised {type(error).__name__}: {error}"
+        results.append({"code": code, "stdout": out, "stderr": err, "error": error})
+    json.dump(results, sys.stdout)
 
 
-def _round_range(text: str) -> tuple[str, range]:
-    workload, _, rounds = text.partition(":")
-    lo, _, hi = rounds.partition("-")
-    return workload, range(int(lo), int(hi or lo) + 1)
-
-
-def collect(rounds: list, seeds: list, request_files: list) -> tuple[list, list]:
-    """The requests and a label for each."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+def collect() -> tuple[list, list]:
+    """The request texts and a label for each."""
     import workloads
 
-    labels, requests = [], []
-    for seed in seeds:
-        for spec in rounds:
-            workload, rs = _round_range(spec)
-            for r in rs:
+    labels, texts = [], []
+    for seed in SEEDS:
+        for workload, rounds in ROUNDS:
+            for r in rounds:
                 for i, item in enumerate(workloads.make_round(workload, seed, r)):
                     labels.append(f"{workload} seed {seed} round {r} item {i}")
-                    requests.append({"argv": ["--stdin"], "stdin": item["text"]})
-    for path in request_files:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if line.strip():
-                    doc = json.loads(line)
-                    labels.append(f"{path} line {line_no}")
-                    requests.append({"argv": doc["argv"], "stdin": doc["stdin"]})
-    return labels, requests
+                    texts.append(item["text"])
+    return labels, texts
 
 
-def run_tree(tree: str, requests: list, timeout: float) -> list:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--serve", tree, "--timeout", str(timeout)]
-    proc = subprocess.run(cmd, input=json.dumps(requests), capture_output=True, text=True, check=False)
+def run_tree(tree: str, texts: list) -> list:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--serve", tree]
+    proc = subprocess.run(cmd, input=json.dumps(texts), capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"worker for {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -138,27 +120,17 @@ def stdout_diff(old: str, new: str) -> list:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("old", nargs="?")
-    ap.add_argument("new", nargs="?")
-    ap.add_argument("--rounds", action="append", metavar="WORKLOAD:LO[-HI]",
-                    help=f"benchmark rounds to send (default: {' '.join(DEFAULT_ROUNDS)})")
-    ap.add_argument("--seed", action="append", type=int,
-                    help=f"workload seed (default: {' '.join(map(str, DEFAULT_SEEDS))})")
-    ap.add_argument("--requests", action="append", default=[], metavar="FILE",
-                    help='JSON lines {"argv": [...], "stdin": "..."} to send as well')
-    ap.add_argument("--timeout", type=float, default=60.0, help="seconds per request (default 60)")
-    ap.add_argument("--serve", metavar="TREE", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.serve:
-        serve(args.serve, args.timeout)
+    args = sys.argv[1:] if argv is None else list(argv)
+    if len(args) == 2 and args[0] == "--serve":
+        serve_tree(args[1])
         return 0
-    if not (args.old and args.new):
-        ap.error("OLD_TREE and NEW_TREE are required")
+    if len(args) != 2 or args[0].startswith("-") or args[1].startswith("-"):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
 
-    labels, requests = collect(args.rounds or list(DEFAULT_ROUNDS), args.seed or list(DEFAULT_SEEDS), args.requests)
-    old = run_tree(args.old, requests, args.timeout)
-    new = run_tree(args.new, requests, args.timeout)
+    labels, texts = collect()
+    old = run_tree(args[0], texts)
+    new = run_tree(args[1], texts)
     same = 0
     for label, a, b in zip(labels, old, new):
         if a == b:
@@ -167,9 +139,11 @@ def main(argv=None) -> int:
         where = stdout_diff(a["stdout"], b["stdout"])
         if a["stderr"] != b["stderr"]:
             where.append("stderr")
+        if a["error"] != b["error"]:
+            where.append(f"exception ({a['error']} -> {b['error']})")
         print(f"{label}: exit {a['code']} -> {b['code']}; differs at {', '.join(where) or 'exit code only'}")
-    print(f"{same} of {len(requests)} responses identical")
-    return 0 if same == len(requests) else 1
+    print(f"{same} of {len(texts)} responses identical")
+    return 0 if same == len(texts) else 1
 
 
 if __name__ == "__main__":
