@@ -85,7 +85,10 @@ class Tolerances:
 
     def __post_init__(self):
         eps = (self.eps_zero, self.eps_norm, self.eps_circle)
-        if not all(0 < e < math.inf for e in eps):
+        # bool is an int subclass; JSON true/false is not a tolerance.
+        if any(isinstance(v, bool) for v in (*eps, self.n_witness)):
+            raise InputError("tolerances must be numbers, not true or false")
+        if not all(isinstance(e, numbers.Real) and 0 < e < math.inf for e in eps):
             raise InputError("tolerances must be strictly positive and finite")
         if not isinstance(self.n_witness, numbers.Integral):
             raise InputError("n_witness must be an integer")

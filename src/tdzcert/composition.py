@@ -1,19 +1,21 @@
 """Composition operators C_phi f = f(phi(.)) on little-ell-p sequence spaces.
 
 Self-maps of the naturals are represented by a finite exceptional prefix
-followed by a shift tail ``n -> n + c`` or a divide tail
-``n -> ceil(n/k)``.  Within this class every question that matters is a
-finite computation: preimage counts (the Radon-Nikodym derivative of the
-pushforward of counting measure), injectivity and surjectivity with
-concrete witnesses, the operator norm ``sup_n |phi^{-1}(n)|^{1/p}``, and
-the divisor trichotomy of C_phi with constructive annihilators.
+followed by one tail rule ``n -> ceil(n/k) + c``: a ``Shift(c)`` tail is
+the rule with k = 1 and a ``Divide(k)`` tail the rule with c = 0.
+Within this class every question that matters is a finite computation:
+preimage counts (the Radon-Nikodym derivative of the pushforward of
+counting measure), injectivity and surjectivity with concrete witnesses,
+the operator norm ``sup_n |phi^{-1}(n)|^{1/p}``, and the divisor
+trichotomy of C_phi with constructive annihilators.  Composites stay in
+the class when both tails are shifts, both are divides, or one of them
+is the identity; a genuine divide meeting a nonzero shift leaves it.
 
 Finite matrix sections verify C*C = M_w (w the preimage-count sequence)
 exactly on a stabilized leading block: the block where no preimage
-escapes past the truncation.  A shift tail loses the last ``|c|``
-coordinates when c < 0 and nothing otherwise; a divide tail concentrates
-k preimages per output, so only the first ``floor(N/k)`` outputs have
-complete preimage sets inside a section of size N.
+escapes past the truncation.  The tail preimages of m reach up to
+``(m - c) k``, so a section of size N keeps the first
+``min(N, floor(N/k) + c)`` outputs whole.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ __all__ = [
 
 def _as_int(x, what: str) -> int:
     try:
-        if x == int(x):
+        # JSON true/false arrive as bools, which Python counts as 1 and 0.
+        if not isinstance(x, bool) and x == int(x):
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -81,6 +84,7 @@ class Shift:
     """Tail rule phi(n) = n + c for n beyond the prefix."""
 
     c: int
+    k = 1  # a class constant, not a field: the rule ceil(n/k) + c with k = 1
 
     def __init__(self, c):
         object.__setattr__(self, "c", _as_int(c, "shift"))
@@ -91,6 +95,7 @@ class Divide:
     """Tail rule phi(n) = ceil(n / k) for n beyond the prefix."""
 
     k: int
+    c = 0  # a class constant, not a field: the rule ceil(n/k) + c with c = 0
 
     def __init__(self, k):
         k = _as_int(k, "divide")
@@ -102,6 +107,11 @@ class Divide:
 Tail = Union[Shift, Divide]
 
 
+def _tail(tail: Tail, n: int) -> int:
+    """The tail rule n -> ceil(n/k) + c."""
+    return -(-n // tail.k) + tail.c
+
+
 @dataclass(frozen=True)
 class SelfMapN:
     """Total self-map of {1, 2, ...}: explicit prefix values, then a tail rule."""
@@ -110,12 +120,13 @@ class SelfMapN:
     tail: Tail
 
     def __init__(self, prefix_map, tail: Tail):
-        pm = tuple(int(v) for v in prefix_map)
+        pm = tuple(_as_int(v, "map value") for v in prefix_map)
         if any(v < 1 for v in pm):
             raise InputError("map values must be >= 1")
         if not isinstance(tail, (Shift, Divide)):
             raise InputError("tail must be a Shift or Divide rule")
-        if isinstance(tail, Shift) and len(pm) + 1 + tail.c < 1:
+        # Only a negative shift can send the first tail index below 1.
+        if _tail(tail, len(pm) + 1) < 1:
             raise InputError(
                 f"shift {tail.c} sends {len(pm) + 1} below 1; the map is not total"
             )
@@ -131,16 +142,12 @@ class SelfMapN:
             raise InputError("arguments start at 1")
         if n <= len(self.prefix_map):
             return self.prefix_map[n - 1]
-        if isinstance(self.tail, Shift):
-            return n + self.tail.c
-        return -(-n // self.tail.k)  # ceil division
+        return _tail(self.tail, n)
 
     @property
     def identity_tail(self) -> bool:
         """True when the tail rule is n -> n (Shift 0 or Divide 1)."""
-        if isinstance(self.tail, Shift):
-            return self.tail.c == 0
-        return self.tail.k == 1
+        return self.tail.k == 1 and self.tail.c == 0
 
 
 @dataclass(frozen=True)
@@ -165,35 +172,26 @@ def preimage_count(phi: SelfMapN, m: int) -> int:
     if m < 1:
         raise InputError("values start at 1")
     count = sum(1 for v in phi.prefix_map if v == m)
-    n0 = phi.prefix_len
-    if isinstance(phi.tail, Shift):
-        if m - phi.tail.c > n0:
-            count += 1
-    else:
-        k = phi.tail.k
-        # Tail preimages of m form the block ((m-1)k, mk] clipped to n > n0.
-        count += max(0, m * k - max(n0, (m - 1) * k))
-    return count
+    k, c = phi.tail.k, phi.tail.c
+    # Tail preimages of m form the block ((m-c-1)k, (m-c)k] clipped to n > n0.
+    return count + max(0, (m - c) * k - max(phi.prefix_len, (m - c - 1) * k))
 
 
 def _rn_stable_from(phi: SelfMapN) -> int:
     """Index beyond which the preimage count equals its tail constant."""
     top_image = max(phi.prefix_map, default=0)
-    if isinstance(phi.tail, Shift):
-        return max(top_image, phi.prefix_len + phi.tail.c, 0)
-    return max(top_image, -(-phi.prefix_len // phi.tail.k))
+    return max(top_image, _tail(phi.tail, phi.prefix_len), 0)
 
 
 def rn_derivative(phi: SelfMapN) -> MeasurableFn:
     """The preimage-count sequence m -> |phi^{-1}(m)| over counting measure.
 
-    Eventually constant: 1 for a shift tail, k for a divide tail, after
-    finitely many exceptional indices.
+    Eventually constant: k (1 for a shift tail) after finitely many
+    exceptional indices.
     """
     stable = _rn_stable_from(phi)
     prefix = [float(preimage_count(phi, m)) for m in range(1, stable + 1)]
-    constant = 1.0 if isinstance(phi.tail, Shift) else float(phi.tail.k)
-    return MeasurableFn(CountingN(), EventuallyPeriodic(prefix, (constant,)))
+    return MeasurableFn(CountingN(), EventuallyPeriodic(prefix, (float(phi.tail.k),)))
 
 
 def composition_norm(spec: CompositionOperatorSpec) -> float:
@@ -217,12 +215,11 @@ class MapProperties:
 
 def _collision_scan_bound(phi: SelfMapN) -> int:
     top_image = max(phi.prefix_map, default=0)
-    n0 = phi.prefix_len
-    if isinstance(phi.tail, Shift):
-        return max(n0, top_image - phi.tail.c, 1)
-    # Any two tail indices in one divide block collide; the first full
+    n0, k = phi.prefix_len, phi.tail.k
+    # A tail index n hits a prefix image only if n <= (top_image - c) k.
+    # Any two tail indices in one block of k collide; the first full
     # block past the prefix sits inside (n0, n0 + 2k].
-    return max(n0, top_image * phi.tail.k, n0 + 2 * phi.tail.k)
+    return max(n0, (top_image - phi.tail.c) * k, n0 + 2 * k)
 
 
 def map_properties(phi: SelfMapN) -> MapProperties:
@@ -231,9 +228,9 @@ def map_properties(phi: SelfMapN) -> MapProperties:
     Every collision has both indices below a computable bound (prefix
     collisions are bounded by the prefix, prefix-vs-tail by the largest
     prefix image pulled back through the tail, tail-vs-tail only for
-    divide tails inside the first full block); a scan up to the bound is
+    k > 1 inside the first full block); a scan up to the bound is
     therefore complete.  Surjectivity needs checking only up to the
-    index from which the tail covers everything.
+    value floor(n0/k) + c from which the tail covers everything.
     """
     seen: dict[int, int] = {}
     collision = None
@@ -244,12 +241,8 @@ def map_properties(phi: SelfMapN) -> MapProperties:
             break
         seen[v] = n
 
-    if isinstance(phi.tail, Shift):
-        covered_from = max(phi.prefix_len + phi.tail.c, 0)
-    else:
-        covered_from = phi.prefix_len // phi.tail.k
     missed = None
-    for m in range(1, covered_from + 1):
+    for m in range(1, phi.prefix_len // phi.tail.k + phi.tail.c + 1):
         if preimage_count(phi, m) == 0:
             missed = m
             break
@@ -315,13 +308,11 @@ class CoordinateInjection:
 def _inverse_map(phi: SelfMapN) -> SelfMapN:
     """The inverse of a bijective map in this class (tail must be a shift
     or a trivial divide; a genuine divide tail is never injective)."""
-    if isinstance(phi.tail, Divide) and phi.tail.k > 1:
+    if phi.tail.k > 1:
         raise InputError("a divide tail with k > 1 is not injective")
-    c = 0 if isinstance(phi.tail, Divide) else phi.tail.c
-    top_image = max(phi.prefix_map, default=0)
-    stable = max(top_image, phi.prefix_len + c, 0)
+    c = phi.tail.c
     inverse_prefix = []
-    for m in range(1, stable + 1):
+    for m in range(1, _rn_stable_from(phi) + 1):
         hits = [n for n in range(1, phi.prefix_len + 1) if phi(n) == m]
         if m - c > phi.prefix_len:
             hits.append(m - c)
@@ -418,14 +409,11 @@ def tail_spread(phi: SelfMapN) -> int:
 def stabilized_block(phi: SelfMapN, n: int) -> int:
     """Largest B such that every preimage of m <= B lies within 1..n.
 
-    For a shift tail the only tail preimage of m is m - c, inside the
-    section exactly when m <= n + min(0, c).  For a divide tail the
-    preimages of m reach up to m k, inside exactly when m <= floor(n/k).
-    Prefix preimages are always inside (the prefix sits below n).
+    The tail preimages of m reach up to (m - c) k, inside the section
+    exactly when m <= floor(n/k) + c; the block also stays within the
+    section.  Prefix preimages are always inside (the prefix sits below n).
     """
-    if isinstance(phi.tail, Shift):
-        return min(n, n + min(0, phi.tail.c))
-    return n // phi.tail.k
+    return min(n, n // phi.tail.k + phi.tail.c)
 
 
 @dataclass(frozen=True)
@@ -475,9 +463,10 @@ def adjoint_rn_check(
 
     section_norm = operator_norm(c)
     formula_norm = composition_norm(spec)
-    operator_tdz = divisor_status(spec, tol).is_tdz
+    props = map_properties(spec.phi)
+    operator_tdz = not props.invertible
     rn_tdz = decide_tdz_linf(rn, tol).is_tdz
-    left_zd = map_properties(spec.phi).surjective is False
+    left_zd = not props.surjective
     return AdjointRNReport(
         n=n,
         tail_spread=k,
@@ -497,35 +486,23 @@ def adjoint_rn_check(
 def compose_maps(outer: SelfMapN, inner: SelfMapN) -> SelfMapN:
     """The composite n -> outer(inner(n)), when it stays in the class.
 
-    Closed combinations: shift after shift (tail c1 + c2), divide after
-    divide (tail k1 k2), and either order with an identity tail.  A
-    shift after a genuine divide (or vice versa) produces tails like
-    ceil(n/k) + c that the class cannot express; those raise.
+    Past the prefixes the tails nest as
+    ceil((ceil(n/k2) + c2)/k1) + c1 = ceil(n/(k1 k2)) + c2/k1 + c1
+    when k1 divides c2.  The composite stays in the class when both tails
+    are shifts (tail c1 + c2), both are divides (tail k1 k2), or either
+    one is the identity; a genuine divide meeting a nonzero shift gives a
+    tail like ceil(n/k) + c with k > 1 and c != 0, and raises.
     """
-    o_tail, i_tail = outer.tail, inner.tail
-    o_shift = isinstance(o_tail, Shift) or outer.identity_tail
-    i_shift = isinstance(i_tail, Shift) or inner.identity_tail
-    o_c = 0 if outer.identity_tail else getattr(o_tail, "c", None)
-    i_c = 0 if inner.identity_tail else getattr(i_tail, "c", None)
-
-    if o_shift and i_shift:
-        tail: Tail = Shift(o_c + i_c)
-        start = max(inner.prefix_len, outer.prefix_len - i_c, 0)
-    elif not o_shift and not i_shift:
-        tail = Divide(o_tail.k * i_tail.k)
-        start = max(inner.prefix_len, outer.prefix_len * i_tail.k)
-    elif o_shift and o_c == 0:
-        # Identity outer tail beyond its prefix: the inner tail survives.
-        tail = i_tail
-        bound = outer.prefix_len * i_tail.k
-        start = max(inner.prefix_len, bound)
-    elif i_shift and i_c == 0:
-        tail = o_tail
-        start = max(inner.prefix_len, outer.prefix_len)
-    else:
+    k1, c1, k2, c2 = outer.tail.k, outer.tail.c, inner.tail.k, inner.tail.c
+    k = k1 * k2
+    c, rest = divmod(c2, k1)
+    c += c1
+    if rest or (k > 1 and c != 0):
         raise CompositionUnrepresentableError(
             "mixing a shift tail with a divide tail leaves the "
             "representation class"
         )
+    # Past start the inner tail applies and lands past the outer prefix.
+    start = max(inner.prefix_len, (outer.prefix_len - c2) * k2, 0)
     prefix = [outer(inner(n)) for n in range(1, start + 1)]
-    return SelfMapN(prefix, tail)
+    return SelfMapN(prefix, Shift(c) if k == 1 else Divide(k))

@@ -73,13 +73,18 @@ __all__ = [
 MODES = ("analyze", "certify", "section")
 
 
+def _is_a(x, types) -> bool:
+    """isinstance that refuses JSON true/false, which Python counts as ints."""
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
 def complex_from_json(x) -> complex:
-    if isinstance(x, (int, float)):
+    if _is_a(x, (int, float)):
         z = complex(x)
     elif (
         isinstance(x, (list, tuple))
         and len(x) == 2
-        and all(isinstance(v, (int, float)) for v in x)
+        and all(_is_a(v, (int, float)) for v in x)
     ):
         z = complex(x[0], x[1])
     else:
@@ -116,7 +121,7 @@ def _parse_p(doc: dict) -> float:
         if p.lower() in ("inf", "infinity"):
             return math.inf
         raise InputError(f"unrecognized exponent {p!r}")
-    if not isinstance(p, (int, float)):
+    if not _is_a(p, (int, float)):
         raise InputError("exponent p must be a number or 'inf'")
     return float(p)
 
@@ -128,7 +133,12 @@ def _parse_linf_body(doc: dict) -> MeasurableFn:
     if space_doc == "counting_n":
         space: Any = CountingN()
     elif isinstance(space_doc, dict) and "finite_atoms" in space_doc:
-        space = FiniteAtoms(space_doc["finite_atoms"])
+        weights = space_doc["finite_atoms"]
+        if not isinstance(weights, list) or not all(
+            _is_a(w, (int, float)) for w in weights
+        ):
+            raise InputError("finite_atoms must be a list of numbers")
+        space = FiniteAtoms(weights)
     else:
         raise InputError(
             "space must be 'counting_n' or {'finite_atoms': [w, ...]}"
@@ -157,9 +167,7 @@ def _parse_selfmap(doc: dict) -> SelfMapN:
     if not isinstance(doc, dict) or "tail" not in doc:
         raise InputError("phi needs 'prefix' and 'tail'")
     prefix = doc.get("prefix", [])
-    if not isinstance(prefix, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in prefix
-    ):
+    if not isinstance(prefix, list) or not all(_is_a(v, int) for v in prefix):
         raise InputError("phi prefix must be a list of integers")
     tail_doc = doc["tail"]
     if not isinstance(tail_doc, dict) or len(tail_doc) != 1:
@@ -204,7 +212,7 @@ def parse_request(doc: Any) -> AnalysisRequest:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     section_size = None
     if mode == "section":
-        if "N" not in doc or not isinstance(doc["N"], int) or doc["N"] < 1:
+        if not _is_a(doc.get("N"), int) or doc["N"] < 1:
             raise InputError("section mode requires a positive integer 'N'")
         section_size = doc["N"]
     tol = _parse_tolerances(doc)
@@ -235,7 +243,7 @@ def parse_request(doc: Any) -> AnalysisRequest:
             if not isinstance(sym, dict) or "coeffs" not in sym:
                 raise InputError("compose_hardy needs 'symbol': {'coeffs': [...]}")
             order = doc.get("order", 8)
-            if not isinstance(order, int) or order < 1:
+            if not _is_a(order, int) or order < 1:
                 raise InputError("'order' must be a positive integer")
             payload = (PolySymbol(_circle_poly(sym["coeffs"]), tol), order)
         else:

@@ -1,5 +1,6 @@
 """Composition operators on sequence spaces: maps, sections, adjoints."""
 
+import itertools
 import math
 
 import numpy as np
@@ -68,6 +69,10 @@ def test_selfmap_validation():
         SelfMapN((), "not a tail")
     with pytest.raises(InputError):
         SHIFT1(0)
+    for bad in ((1.5, 2.7), (True,), ("2",)):
+        with pytest.raises(InputError):
+            SelfMapN(bad, Shift(0))
+    assert SelfMapN((2.0, 1), Shift(0)).prefix_map == (2, 1)
     phi = SelfMapN((3, 3), Shift(-2))  # 3,3,1,2,3,...
     assert [phi(n) for n in range(1, 6)] == [3, 3, 1, 2, 3]
     assert DIVIDE2(7) == 4 and DIVIDE2(8) == 4
@@ -327,6 +332,81 @@ def test_injectivity_shows_in_section_rows():
         rows = [tuple(e[i].real) for i in range(bound)]
         distinct = len(set(rows)) == len(rows)
         assert distinct == props.injective
+
+
+def rule(tail):
+    """(k, c) of the tail n -> ceil(n/k) + c, read off the tail's class."""
+    return (1, tail.c) if isinstance(tail, Shift) else (tail.k, 0)
+
+
+def small_maps(max_len=3):
+    """Every map with prefix length <= max_len, values 1..6, Shift(-3..3)
+    and Divide(1..4)."""
+    tails = [Shift(c) for c in range(-3, 4)] + [Divide(k) for k in range(1, 5)]
+    maps = []
+    for plen in range(max_len + 1):
+        for prefix in itertools.product(range(1, 7), repeat=plen):
+            for tail in tails:
+                if plen + 1 + rule(tail)[1] >= 1:
+                    maps.append(SelfMapN(prefix, tail))
+    return maps
+
+
+def test_closed_forms_vs_scan_on_every_small_map():
+    # Preimages of m <= 12 sit below (12 + 3) * 4 = 60, so a scan of 1..70
+    # sees all of them; the tail covers every value past 7.
+    window, values = 70, 12
+    for phi in small_maps():
+        k, c = rule(phi.tail)
+        n0 = phi.prefix_len
+        image = [phi(n) for n in range(1, window + 1)]
+        assert image == [
+            phi.prefix_map[n - 1] if n <= n0 else -(-n // k) + c
+            for n in range(1, window + 1)
+        ]
+        preimages = {m: [] for m in range(1, values + 1)}
+        first_collision, seen = None, {}
+        for n, v in enumerate(image, start=1):
+            if v in preimages:
+                preimages[v].append(n)
+            if first_collision is None and v in seen:
+                first_collision = (seen[v], n)
+            seen.setdefault(v, n)
+        rn = rn_derivative(phi)
+        for m, pre in preimages.items():
+            assert preimage_count(phi, m) == len(pre) == rn.value_at(m), (phi, m)
+        missed = next((m for m, pre in preimages.items() if not pre), None)
+        props = map_properties(phi)
+        assert props.collision == first_collision, phi
+        assert props.missed_value == missed, phi
+        assert props.invertible == (first_collision is None and missed is None)
+        # stabilized_block: the largest B <= n with every preimage of each
+        # m <= B inside 1..n.
+        for n in range(n0, n0 + 8):
+            block = 0
+            while block < n and all(i <= n for i in preimages[block + 1]):
+                block += 1
+            assert stabilized_block(phi, n) == block, (phi, n)
+
+
+def test_compose_maps_on_small_maps():
+    maps = small_maps()
+    short = [phi for phi in maps if phi.prefix_len <= 1]
+    rng = np.random.default_rng(16)
+    sample = [
+        (maps[i], maps[j]) for i, j in rng.integers(0, len(maps), (20000, 2))
+    ]
+    for outer, inner in [(a, b) for a in short for b in short] + sample:
+        (k1, c1), (k2, c2) = rule(outer.tail), rule(inner.tail)
+        mixed = (k1 > 1 and c2 != 0) or (k2 > 1 and c1 != 0)
+        if mixed:
+            with pytest.raises(CompositionUnrepresentableError):
+                compose_maps(outer, inner)
+            continue
+        comp = compose_maps(outer, inner)
+        assert isinstance(comp.tail, Shift) == (k1 * k2 == 1)
+        for n in range(1, 50):
+            assert comp(n) == outer(inner(n)), (outer, inner, n)
 
 
 def test_compose_maps_shift_shift():

@@ -382,6 +382,21 @@ def test_cli_gap_section_norm_is_exact(capsys, monkeypatch):
         '{"operator": "compose_lp", "phi": {"tail": {"shift": 1.5}}}',
         '{"operator": "compose_lp", "phi": {"tail": {"divide": 2.5}}}',
         '{"operator": "compose_hardy", "symbol": {"coeffs": [1e308, 1e308]}}',
+        # JSON true/false is not a number, although Python counts it as 1/0.
+        '{"operator": "compose_lp", "phi": {"tail": {"shift": 0}},'
+        ' "mode": "section", "N": true}',
+        '{"operator": "compose_hardy", "symbol": {"coeffs": [0, 0.5]}, "order": true}',
+        '{"operator": "compose_hardy", "symbol": {"coeffs": [0, 0.5]},'
+        ' "mode": "section", "N": true}',
+        '{"operator": "compose_lp", "phi": {"tail": {"shift": true}}}',
+        '{"operator": "compose_lp", "phi": {"tail": {"divide": true}}}',
+        '{"operator": "compose_lp", "p": true, "phi": {"tail": {"divide": 2}}}',
+        '{"algebra": "disk", "coeffs": [true]}',
+        '{"algebra": "disk", "coeffs": [[1, false]]}',
+        '{"algebra": "disk", "coeffs": [1, 2], "tolerances": {"eps_norm": true}}',
+        '{"algebra": "disk", "coeffs": [1, 2], "tolerances": {"eps_norm": "x"}}',
+        '{"algebra": "linf", "space": {"finite_atoms": [true]}, "fn": {"vector": [1]}}',
+        '{"algebra": "linf", "space": {"finite_atoms": 5}, "fn": {"vector": [1]}}',
     ],
 )
 def test_cli_non_finite_input_is_exit_2(capsys, monkeypatch, text):
