@@ -6,10 +6,11 @@ One request per invocation.  The request is a single JSON document (see
 certificates), or ``section`` (emit finite matrix sections and their
 checks).  Verdicts come from the library's decision procedures and every
 certificate is checked through ``verify_certificate``; this module picks
-the norm oracle and shapes the JSON.  Exit codes: 0 success, 2 invalid
-input or unsupported combination, 3 when a certify run fails verification
-(the verdict and report are still printed) or the harness itself fails on
-a non-finite norm or a broken certificate (an error line only).
+the norm oracle and shapes the response, which ``schema.dumps`` writes as
+JSON.  Exit codes: 0 success, 2 invalid input or unsupported combination,
+3 when a certify run fails verification (the verdict and report are still
+printed) or the harness itself fails on a non-finite norm or a broken
+certificate (an error line only).
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ from .multop import (
 )
 from .schema import (
     AnalysisRequest,
+    dumps,
     parse_request,
     serialize_certificate,
     serialize_element,
-    serialize_matrix,
     serialize_report,
     serialize_verdict,
 )
@@ -144,7 +145,7 @@ def _run_mult(req: AnalysisRequest):
     )
     if req.mode == "section":
         section = finite_section_mult(spec, req.section_size)
-        out["section"] = serialize_matrix(section)
+        out["section"] = section
         out["section_norm"] = operator_norm(section)
         out["ess_sup"] = linf_norm(spec.h)
     return out, code
@@ -164,9 +165,7 @@ def _run_compose_lp(req: AnalysisRequest):
         return out, 0
     if req.mode == "section":
         report = adjoint_rn_check(spec, req.section_size, tol)
-        out["section"] = serialize_matrix(
-            finite_section_composition(spec, req.section_size)
-        )
+        out["section"] = finite_section_composition(spec, req.section_size)
         out["adjoint_rn"] = dataclasses.asdict(report)
         return out, 0
     # Certify on a section at p = 2 (the certificates are p-independent):
@@ -195,7 +194,7 @@ def _run_compose_hardy(req: AnalysisRequest):
         return m
 
     if req.mode == "section":
-        out = {"mode": req.mode, "section": serialize_matrix(build_matrix(req.section_size))}
+        out = {"mode": req.mode, "section": build_matrix(req.section_size)}
         if caught:
             out["warnings"] = caught
         return out, 0
@@ -254,7 +253,11 @@ _RUNNERS = {
 
 
 def run_request(req: AnalysisRequest):
-    """Dispatch a parsed request; returns (response dict, exit code)."""
+    """Dispatch a parsed request; returns (response dict, exit code).
+
+    In section mode the response's ``"section"`` is the ``OperatorMatrix``
+    itself; ``schema.dumps`` writes it as JSON.
+    """
     if req.mode == "section" and req.tag in _NO_SECTION:
         raise InputError(_NO_SECTION[req.tag])
     return _RUNNERS[req.tag](req)
@@ -316,7 +319,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    print(json.dumps(response, indent=2 if args.pretty else None))
+    print(dumps(response, pretty=args.pretty))
     return code
 
 

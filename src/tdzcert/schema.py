@@ -14,13 +14,20 @@ input).  The element forms are:
 
 A request adds ``"mode": "analyze" | "certify" | "section"`` (default
 analyze; section requires ``"N"``) and optional ``"tolerances"``
-overrides keyed by the Tolerances field names.
+overrides keyed by the Tolerances field names.  ``"N"`` and ``"order"``
+are at most ``MAX_SECTION``.
+
+``dumps`` is the one place a response becomes JSON text.  A response may
+carry an ``OperatorMatrix`` as a top-level value (the ``"section"`` of
+section mode); it is written as ``serialize_matrix`` would give it, so
+the text equals ``json.dumps`` of the fully serialized response.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import json
 import math
 from dataclasses import dataclass
 from typing import Any, Optional, Union
@@ -63,6 +70,7 @@ __all__ = [
     "AnalysisRequest",
     "complex_from_json",
     "complex_to_json",
+    "dumps",
     "parse_request",
     "serialize_certificate",
     "serialize_element",
@@ -71,6 +79,11 @@ __all__ = [
 ]
 
 MODES = ("analyze", "certify", "section")
+# Largest section size "N" and Hardy "order": both build dense N x N
+# complex matrices.  At 2000 the costliest request measured, a Hardy
+# certify of a constant symbol, takes about 17 s and 1.5 GB on a 2-vCPU
+# VM, and memory grows as N^2.
+MAX_SECTION = 2000
 
 
 def _is_a(x, types) -> bool:
@@ -214,6 +227,8 @@ def parse_request(doc: Any) -> AnalysisRequest:
     if mode == "section":
         if not _is_a(doc.get("N"), int) or doc["N"] < 1:
             raise InputError("section mode requires a positive integer 'N'")
+        if doc["N"] > MAX_SECTION:
+            raise InputError(f"'N' must be at most {MAX_SECTION}")
         section_size = doc["N"]
     tol = _parse_tolerances(doc)
 
@@ -245,6 +260,8 @@ def parse_request(doc: Any) -> AnalysisRequest:
             order = doc.get("order", 8)
             if not _is_a(order, int) or order < 1:
                 raise InputError("'order' must be a positive integer")
+            if order > MAX_SECTION:
+                raise InputError(f"'order' must be at most {MAX_SECTION}")
             payload = (PolySymbol(_circle_poly(sym["coeffs"]), tol), order)
         else:
             raise InputError(f"unrecognized operator {tag!r}")
@@ -263,6 +280,51 @@ def serialize_matrix(m: OperatorMatrix) -> dict:
         # float view pairs each entry's real and imaginary parts.
         "entries": m.entries.view(np.float64).reshape(m.rows, m.cols, 2).tolist(),
     }
+
+
+_ZERO_ENTRY = "[0.0, 0.0], "
+
+
+def _matrix_text(m: OperatorMatrix) -> str:
+    """``json.dumps(serialize_matrix(m))``, written row by row from runs of
+    zero entries when fewer than 1 in 8 entries are nonzero."""
+    rows, cols = m.rows, m.cols
+    # Only +0.0 has all bits clear; -0.0 (from adjoints) is written out.
+    bits = m.entries.view(np.uint64)
+    nonzero = (bits[:, 0::2] | bits[:, 1::2]) != 0
+    if 8 * np.count_nonzero(nonzero) >= rows * cols:
+        return json.dumps(serialize_matrix(m))
+    r_idx, c_idx = np.nonzero(nonzero)
+    values = m.entries.view(np.float64).reshape(rows, cols, 2)[r_idx, c_idx].tolist()
+    starts = np.searchsorted(r_idx, np.arange(rows + 1)).tolist()
+    c_idx = c_idx.tolist()
+    lines = []
+    for i in range(rows):
+        parts, prev = [], 0
+        for k in range(starts[i], starts[i + 1]):
+            j = c_idx[k]
+            parts.append(_ZERO_ENTRY * (j - prev))
+            parts.append("[%r, %r], " % (values[k][0], values[k][1]))
+            prev = j + 1
+        parts.append(_ZERO_ENTRY * (cols - prev))
+        lines.append("[" + "".join(parts)[:-2] + "]")
+    return '{"rows": %d, "cols": %d, "entries": [%s]}' % (rows, cols, ", ".join(lines))
+
+
+def dumps(response: dict, pretty: bool = False) -> str:
+    """JSON text of a response, indented by 2 when ``pretty``.
+
+    Equal, byte for byte, to ``json.dumps`` of the response with each
+    top-level ``OperatorMatrix`` value replaced by ``serialize_matrix`` of
+    it; without such a value it is that ``json.dumps`` call.
+    """
+    if not any(isinstance(v, OperatorMatrix) for v in response.values()):
+        return json.dumps(response, indent=2 if pretty else None)
+    text = "{%s}" % ", ".join(
+        json.dumps(k) + ": " + (_matrix_text(v) if isinstance(v, OperatorMatrix) else json.dumps(v))
+        for k, v in response.items()
+    )
+    return json.dumps(json.loads(text), indent=2) if pretty else text
 
 
 def _serialize_space(space) -> Any:

@@ -21,15 +21,18 @@ from tdzcert import (
     MultOperatorSpec,
     NumericError,
     OperatorMatrix,
+    PolySymbol,
     SelfMapN,
     Shift,
     complex_from_json,
     complex_to_json,
+    composition_matrix,
+    finite_section_composition,
     parse_request,
     serialize_element,
     serialize_matrix,
 )
-from tdzcert import cli
+from tdzcert import cli, schema
 from tdzcert.cli import main, run_request
 
 
@@ -151,6 +154,116 @@ def test_parse_operator_forms():
         parse_request({"operator": "compose_hardy", "symbol": {"coeffs": [0, 0.5]}, "order": 0})
     with pytest.raises(InputError):
         parse_request({"operator": "mult", "p": "two", "h": {"space": "counting_n", "fn": {"decay_c": 1}}})
+
+
+def test_parse_request_accepts_max_section():
+    assert schema.MAX_SECTION == 2000
+    req = parse_request({"operator": "compose_lp", "phi": {"tail": {"divide": 2}},
+                         "mode": "section", "N": 2000})
+    assert req.section_size == 2000
+    req = parse_request({"operator": "compose_hardy", "symbol": {"coeffs": [0, 0.5]},
+                         "order": 2000})
+    assert req.payload[1] == 2000
+
+
+def assert_same_text(got, want):
+    """Equality of two long texts, reported at the first difference
+    (pytest's own diff of megabyte strings takes minutes)."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {i}: {got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
+
+
+def _matrix(shape, entries=()):
+    e = np.zeros(shape, dtype=complex)
+    for (i, j), z in entries:
+        e[i, j] = z
+    return OperatorMatrix(e)
+
+
+_HARDY_SECTION = composition_matrix(
+    PolySymbol(CirclePolynomial([0.1 + 0.2j, 0.4 - 0.1j, 0.3j])), 12
+)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        _matrix((6, 6), [((1, 2), complex(-0.0, 0.0))]),
+        _matrix((6, 6), [((4, 0), complex(0.0, -0.0))]),
+        _matrix((6, 6), [((5, 5), complex(0.0, 2.5))]),
+        _matrix((9, 9), [((0, 0), 5e-324), ((2, 8), complex(0.1, -1e300)),
+                         ((8, 3), complex(-1 / 3, 0.1)), ((8, 4), 1e300)]),
+        _matrix((5, 5)),
+        _matrix((1, 1)),
+        _matrix((1, 1), [((0, 0), -2.0)]),
+        _matrix((1, 40), [((0, 17), 1.0)]),
+        _matrix((40, 1), [((39, 0), 1j)]),
+        OperatorMatrix(np.eye(50)[np.random.default_rng(5).permutation(50)]),
+        finite_section_composition(CompositionOperatorSpec(SelfMapN([], Divide(2)), 2), 50),
+        OperatorMatrix.diagonal([(-1) ** k / (k + 1) for k in range(50)]),
+        # An adjoint's zeros are -0.0 in the imaginary part, so none is zero.
+        OperatorMatrix.diagonal(range(1, 30)).adjoint(),
+        _HARDY_SECTION,
+        # 8 x 8 holds 64 entries: 7 nonzeros are below 1 in 8, 8 and 9 are not.
+        _matrix((8, 8), [((k, k), 1.0 + k) for k in range(7)]),
+        _matrix((8, 8), [((k, k), 1.0 + k) for k in range(8)]),
+        _matrix((8, 8), [((k, k), 1.0 + k) for k in range(8)] + [((0, 7), -0.0)]),
+    ],
+)
+def test_dumps_matches_json_dumps(m):
+    def response(section):
+        return {"a": 1, "section": section, "z": [1.5]}
+
+    serialized = response(serialize_matrix(m))
+    assert_same_text(schema.dumps(response(m)), json.dumps(serialized))
+    assert_same_text(schema.dumps(response(m), pretty=True), json.dumps(serialized, indent=2))
+    assert_same_text(schema.dumps(serialized), json.dumps(serialized))
+
+
+def _section_docs(n):
+    """Section requests of size n, each with the smallest n it accepts."""
+    vector = [
+        [0, 0] if m % 5 == 0 else [-0.0, 0.0] if m % 7 == 3
+        else [(-1) ** m / m, (m % 3 - 1) * 0.25]
+        for m in range(1, n + 1)
+    ]
+    mult = {"operator": "mult", "p": 2, "mode": "section", "N": n}
+    lp = {"operator": "compose_lp", "p": 2, "mode": "section", "N": n}
+    # A compose_lp section needs N >= prefix length + |c| or k + 1.
+    return [
+        ({**mult, "h": {"space": {"finite_atoms": [1.0] * n}, "fn": {"vector": vector}}}, 1),
+        ({**mult, "h": {"space": "counting_n",
+                        "fn": {"prefix": [[0.5, -0.25], 0, 3], "cycle": [[1, 1], 0, -2]}}}, 1),
+        ({**mult, "h": {"space": "counting_n",
+                        "fn": {"prefix": [2, [0, -1]], "decay_c": [0.3, 0.7]}}}, 1),
+        ({**lp, "phi": {"prefix": [2], "tail": {"shift": 0}}}, 2),
+        ({**lp, "phi": {"prefix": [3, 1, 1], "tail": {"shift": -1}}}, 5),
+        ({**lp, "phi": {"prefix": [5], "tail": {"shift": 2}}}, 4),
+        ({**lp, "phi": {"prefix": [2, 2], "tail": {"divide": 3}}}, 6),
+        ({"operator": "compose_hardy", "mode": "section", "N": n,
+          "symbol": {"coeffs": [[0.1, 0.2], [0.4, -0.1], [0.0, 0.3]]}}, 1),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 48, 300])
+def test_cli_section_output_matches_old_encoder(capsys, monkeypatch, n):
+    for doc, smallest in _section_docs(n):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code = main(["--stdin"])
+        captured = capsys.readouterr()
+        if n < smallest:
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: section too small")
+            continue
+        assert code == 0
+        response, _ = run_request(parse_request(doc))
+        assert isinstance(response["section"], OperatorMatrix)
+        response = {
+            k: serialize_matrix(v) if isinstance(v, OperatorMatrix) else v
+            for k, v in response.items()
+        }
+        assert_same_text(captured.out, json.dumps(response) + "\n")
 
 
 def test_parse_request_envelope():
@@ -397,6 +510,14 @@ def test_cli_gap_section_norm_is_exact(capsys, monkeypatch):
         '{"algebra": "disk", "coeffs": [1, 2], "tolerances": {"eps_norm": "x"}}',
         '{"algebra": "linf", "space": {"finite_atoms": [true]}, "fn": {"vector": [1]}}',
         '{"algebra": "linf", "space": {"finite_atoms": 5}, "fn": {"vector": [1]}}',
+        # Sections and Hardy orders are capped at schema.MAX_SECTION.
+        '{"operator": "mult", "h": {"space": "counting_n", "fn": {"decay_c": 1}},'
+        ' "mode": "section", "N": 2001}',
+        '{"operator": "compose_lp", "phi": {"tail": {"divide": 2}},'
+        ' "mode": "section", "N": 2001}',
+        '{"operator": "compose_hardy", "symbol": {"coeffs": [0, 0.5]},'
+        ' "mode": "section", "N": 2001}',
+        '{"operator": "compose_hardy", "symbol": {"coeffs": [0, 0.5]}, "order": 2001}',
     ],
 )
 def test_cli_non_finite_input_is_exit_2(capsys, monkeypatch, text):
